@@ -515,60 +515,6 @@ func BenchmarkScheduledVolume(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure8Parallel measures the conservative parallel event
-// engine on the ScheduledVolume workload (ccm pair, striped 4-volume
-// array, SSTF queueing) at 1, 2, and 4 engine goroutines. workers=1 is
-// the serial loop; the parallel legs must produce byte-identical
-// results (TestParallelDeterminism), so this benchmark isolates the
-// engine's wall-clock cost: window claiming, worker handoff, and the
-// ordered merge. At this event granularity (microseconds of work per
-// completion) the handoff overhead is expected to rival the win —
-// the bench gate holds the serial waterline and reports the parallel
-// legs honestly rather than presuming a speedup.
-func BenchmarkFigure8Parallel(b *testing.B) {
-	skipIfShort(b)
-	spec, err := apps.Lookup("ccm")
-	if err != nil {
-		b.Fatal(err)
-	}
-	t1, err := workload.Generate(spec.Build(1, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	t2, err := workload.Generate(spec.Build(2, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("workers="+itoa(int64(workers)), func(b *testing.B) {
-			cfg := sim.DefaultConfig()
-			cfg.NumVolumes = 4
-			cfg.StripeUnitBytes = 64 << 10
-			cfg.DiskQueueing = true
-			cfg.Scheduler = sim.SchedSSTF
-			cfg.Parallelism = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := s.AddProcess("a", t1); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.AddProcess("b", t2); err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.WallSeconds(), "simulated-s")
-			}
-		})
-	}
-}
-
 // BenchmarkCongestedPair drives the shared-backbone path end to end:
 // the ccm pair behind a congested 40 MB/s link under fair sharing, so
 // every cache<->volume transfer goes through enqueue, rate-sharing

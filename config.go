@@ -248,21 +248,6 @@ func Faults(plan *FaultPlan) ConfigOption {
 	return func(c *Config) { c.Faults = plan }
 }
 
-// Parallelism lets the event engine use up to n goroutines inside one
-// simulation run. 1 (the default) is the classic serial loop; higher
-// values enable the conservative parallel engine on partitionable
-// configurations — multi-volume arrays with deferred scheduling
-// (Scheduling with SchedSSTF, SchedSCAN, or SchedAgedSSTF) — where
-// simultaneous per-volume completions are serviced concurrently and
-// merged deterministically. Results are byte-identical at every
-// parallelism level; configurations the engine cannot partition simply
-// run serially. Independent of Workload.Sweep's cross-scenario
-// parallelism, which remains the better lever when sweeping many
-// scenarios.
-func Parallelism(n int) ConfigOption {
-	return func(c *Config) { c.Parallelism = n }
-}
-
 // SplitSpindles divides the configured volume's spindles across the
 // array's NumVolumes shards (conserved hardware: n shards of stripe/n
 // spindles each) instead of the default of one full volume per shard

@@ -61,7 +61,6 @@ type Sim struct {
 	Placement    *string
 	StripeUnitKB *int64
 	Split        *bool
-	Par          *int
 	Backbone     *float64
 	BSched       *string
 	BPeriod      *float64
@@ -87,7 +86,6 @@ func AddSim(fs *flag.FlagSet) *Sim {
 		Placement:    fs.String("placement", "stripe", "multi-volume placement: stripe or filehash"),
 		StripeUnitKB: fs.Int64("stripeunit", 1024, "stripe unit in KB for -placement stripe"),
 		Split:        fs.Bool("split", false, "divide the volume's spindles across the shards (conserved hardware)"),
-		Par:          fs.Int("par", 1, "event-engine goroutines per run (needs -sched sstf/scan/aged-sstf; results identical at any value)"),
 		Backbone:     fs.Float64("backbone", 0, "shared I/O backbone bandwidth in MB/s (0 = off)"),
 		BSched:       fs.String("bsched", "fifo", "backbone scheduling: fifo, fair, or periodic"),
 		BPeriod:      fs.Float64("bperiod", 0, "periodic backbone round length in ms (0 = 1000)"),
@@ -115,7 +113,6 @@ func (s *Sim) Config() (iotrace.Config, error) {
 	cfg.PerProcessBlockLimit = *s.Limit
 	cfg.QuantumTicks = iotrace.TicksFromSeconds(*s.Quantum / 1000)
 	cfg.DiskQueueing = *s.Queueing
-	cfg = iotrace.Configure(cfg, iotrace.Parallelism(*s.Par))
 	if *s.Sched != "" {
 		pol, err := iotrace.ParseScheduler(*s.Sched)
 		if err != nil {

@@ -527,9 +527,7 @@ func (s *Simulator) bbDone(x *transfer, gen uint32) {
 // straight to the interrupt when the backbone is off (byte-identical to
 // the pre-backbone engine), through a backbone crossing otherwise.
 // wait is the remaining volume service time from now. Note the wait==0
-// path enters the backbone at the completion tick itself — the parallel
-// engine (par.go) therefore runs with zero lookahead when a backbone is
-// configured, and backbone grants dispatch serially as global barriers.
+// path enters the backbone at the completion tick itself.
 func (s *Simulator) finishVolumeAccess(wait trace.Ticks, size int64, tag physOp, done event) {
 	if s.backbone == nil || size <= 0 {
 		s.post(wait+s.disk.interrupt, done)

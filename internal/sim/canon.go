@@ -20,9 +20,6 @@ import (
 // normalized to its default, so configs that simulate byte-identically
 // compare (and hash) equal:
 //
-//   - Parallelism is identity-irrelevant by contract: results are
-//     byte-identical at every level (TestParallelDeterminism), so it
-//     normalizes to 1.
 //   - With one volume, Placement and StripeUnitBytes are ignored (every
 //     policy replays the paper's single striped volume byte for byte);
 //     with PlaceFileHash, StripeUnitBytes is ignored.
@@ -42,7 +39,6 @@ import (
 // untouched, so distinct configurations keep distinct canonical forms.
 func (c Config) Canonical() Config {
 	def := DefaultConfig()
-	c.Parallelism = 1
 	if c.NumVolumes == 1 {
 		c.Placement = PlaceStripe
 		c.StripeUnitBytes = def.StripeUnitBytes

@@ -10,7 +10,6 @@ import (
 func TestCanonicalNormalizesIgnoredKnobs(t *testing.T) {
 	base := DefaultConfig()
 	variants := map[string]func(*Config){
-		"parallelism": func(c *Config) { c.Parallelism = 8 },
 		"placement at one volume": func(c *Config) {
 			c.Placement = PlaceFileHash
 			c.StripeUnitBytes = 64 << 10

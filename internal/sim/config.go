@@ -186,18 +186,6 @@ type Config struct {
 	// lands exactly on the RetryTimeoutTicks deadline. Must be > 0 when
 	// Faults is non-empty.
 	RetryBackoffTicks trace.Ticks
-
-	// Parallelism is the number of goroutines the event engine may use
-	// inside one simulation run. 0 or 1 (the default) runs the classic
-	// serial loop. Higher values enable the conservative parallel engine
-	// on partitionable configurations (DiskQueueing with a deferred
-	// scheduler): simultaneous per-volume completions are serviced on
-	// worker goroutines and merged back in deterministic event order, so
-	// results are byte-identical at every Parallelism value (par.go;
-	// pinned by TestParallelDeterminism). Configurations the partitioned
-	// engine cannot help — no queueing, or FCFS's closed-form departures
-	// — fall back to the serial loop regardless of the setting.
-	Parallelism int
 }
 
 // DefaultConfig returns the baseline configuration used by the paper
@@ -226,9 +214,6 @@ func DefaultConfig() Config {
 		// 30 s starting at a 1 ms interval.
 		RetryTimeoutTicks: 30 * trace.TicksPerSecond,
 		RetryBackoffTicks: trace.TicksPerSecond / 1000,
-		// One goroutine: the serial event loop, byte-identical to every
-		// engine before it. See Parallelism for the parallel engine.
-		Parallelism: 1,
 	}
 }
 
@@ -305,9 +290,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RetryTimeoutTicks < 0 || c.RetryBackoffTicks < 0 {
 		return fmt.Errorf("sim: negative retry ticks")
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("sim: parallelism %d", c.Parallelism)
 	}
 	if c.Faults != nil && len(c.Faults.Events) > 0 {
 		if err := c.Faults.validate(); err != nil {

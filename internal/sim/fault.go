@@ -299,11 +299,6 @@ func (s *Simulator) faultVol(e *FaultEvent) int {
 }
 
 // faultStart applies plan event i's failure and schedules its recovery.
-// Fault events are global barriers to the parallel engine (par.go):
-// they mutate cross-volume state (outage counters, generation bumps,
-// process rollbacks), so they always dispatch serially between windows,
-// and the generation check a freeze leaves behind cuts any window that
-// would span a stale completion.
 func (s *Simulator) faultStart(i int) {
 	fs := s.faults
 	e := &fs.plan.Events[i]

@@ -280,20 +280,15 @@ func (v *volume) removeQueued(i int) volPending {
 	return req
 }
 
-// dispatchLocal is the volume-local half of volDispatch at time at:
-// the policy pick, queue removal, head movement, and per-volume wait
-// and seek/transfer accounting. Global effects — the rate series, the
-// physical trace, the evVolDone post — are left to the caller, so the
-// parallel engine can run this half on a worker goroutine and replay
-// the global half in deterministic event order at its merge barrier
-// (par.go). The serial volDispatch wraps it with the same effects in
-// the same order the monolithic dispatch always had.
-func (s *Simulator) dispatchLocal(vi int, at trace.Ticks) (req volPending, dur trace.Ticks, ok bool) {
+// volDispatch picks the next queued segment by policy and puts it in
+// service: the volume's head moves, seek/transfer attribution lands in
+// its stats, and the segment's completion fires as evVolDone.
+func (s *Simulator) volDispatch(vi int) {
 	d := s.disk
 	v := &d.vols[vi]
 	if len(v.queue) == 0 {
 		v.inService = false
-		return volPending{}, 0, false
+		return
 	}
 	if s.faults != nil && v.downCnt > 0 {
 		// The volume is down: leave the queue parked (inService false);
@@ -301,38 +296,24 @@ func (s *Simulator) dispatchLocal(vi int, at trace.Ticks) (req volPending, dur t
 		// queued before the outage wait here — new arrivals are held for
 		// retry at admission.
 		v.inService = false
-		return volPending{}, 0, false
+		return
 	}
-	req = v.removeQueued(v.pickNext(d.sched, at))
+	req := v.removeQueued(v.pickNext(d.sched, s.now))
 	v.inService = true
 	v.cur = req
-	v.queueWaitTicks += at - req.enq
-	v.noteProcWait(req.tag.pid, at-req.enq)
+	v.queueWaitTicks += s.now - req.enq
+	v.noteProcWait(req.tag.pid, s.now-req.enq)
 
-	dur = d.accessTime(v, req.pos, req.size)
+	dur := d.accessTime(v, req.pos, req.size)
 	v.busyTicks += dur
+	v.curDone = s.now + dur
 	if req.write {
 		v.writes++
 		v.writeBytes += req.size
+		s.diskWriteRate.AddSpread(int64(s.now), int64(dur), float64(req.size))
 	} else {
 		v.reads++
 		v.readBytes += req.size
-	}
-	v.curDone = at + dur
-	return req, dur, true
-}
-
-// volDispatch picks the next queued segment by policy and puts it in
-// service: the volume's head moves, seek/transfer attribution lands in
-// its stats, and the segment's completion fires as evVolDone.
-func (s *Simulator) volDispatch(vi int) {
-	req, dur, ok := s.dispatchLocal(vi, s.now)
-	if !ok {
-		return
-	}
-	if req.write {
-		s.diskWriteRate.AddSpread(int64(s.now), int64(dur), float64(req.size))
-	} else {
 		s.diskReadRate.AddSpread(int64(s.now), int64(dur), float64(req.size))
 	}
 	if s.cfg.RecordPhysical {
@@ -353,7 +334,7 @@ func (s *Simulator) volDispatch(vi int) {
 			ProcessID:   req.tag.pid,
 		})
 	}
-	s.post(dur, event{kind: evVolDone, vol: int32(vi), tick: trace.Ticks(s.disk.vols[vi].gen)})
+	s.post(dur, event{kind: evVolDone, vol: int32(vi), tick: trace.Ticks(v.gen)})
 }
 
 // volDone retires the in-service segment: the parent request completes

@@ -448,12 +448,6 @@ type Simulator struct {
 	demandRate    *stats.TimeSeries
 
 	physical []*trace.Record
-
-	// parWindows counts multi-event windows the parallel engine merged
-	// (par.go); zero on the serial path. Tests use it to confirm a
-	// configuration actually exercised concurrent windows rather than
-	// degenerating to the serial twin.
-	parWindows int64
 }
 
 // New returns a simulator for the given configuration.
@@ -635,13 +629,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		s.scheduleFaults()
 	}
 	s.dispatch()
-	var ok bool
-	if s.parallelEligible() {
-		ok = s.runEventsParallel(ctx)
-	} else {
-		ok = s.runEvents(ctx)
-	}
-	if !ok {
+	if !s.runEvents(ctx) {
 		if s.err != nil {
 			return nil, s.err
 		}

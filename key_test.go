@@ -34,9 +34,9 @@ func TestScenarioKeyStableAcrossOptionOrder(t *testing.T) {
 	}
 
 	// Result-irrelevant knobs normalize away...
-	par := iotrace.Configure(ab, iotrace.Parallelism(8))
-	if k := (iotrace.Scenario{Config: par}).Key(fp); k != ka {
-		t.Errorf("parallelism changed the key: %s vs %s", k, ka)
+	drain := iotrace.Configure(ab, iotrace.BurstBuffer(0, 99))
+	if k := (iotrace.Scenario{Config: drain}).Key(fp); k != ka {
+		t.Errorf("drain rate without a burst buffer changed the key: %s vs %s", k, ka)
 	}
 	// ...while effective knobs, the trace, and the seed offset all bite.
 	small := ab

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Hot-path benchmark harness: simulator replay (SimulateVenusPair),
 # trace decode (TraceDecodeASCII, plus its materializing variant), the
-# scheduler dispatch path (ScheduledVolume), the parallel event engine
-# (Figure8Parallel at 1/2/4 workers), the shared-backbone transfer path
-# (CongestedPair), the fault-injection retry path (DegradedPair), and
+# scheduler dispatch path (ScheduledVolume), the shared-backbone
+# transfer path (CongestedPair), the fault-injection retry path (DegradedPair), and
 # the CSV importer decode loop (ImportCSV), with allocation reporting.
 # CI invokes it with the defaults below (3 one-shot samples — quick
 # enough for every push, enough to spot a regression), gates the output
@@ -20,5 +19,5 @@ out="${1:-bench.txt}"
 count="${BENCH_COUNT:-3}"
 benchtime="${BENCH_TIME:-1x}"
 
-go test -run '^$' -bench 'SimulateVenusPair|TraceDecodeASCII|ScheduledVolume|Figure8Parallel|CongestedPair|DegradedPair|ImportCSV' \
+go test -run '^$' -bench 'SimulateVenusPair|TraceDecodeASCII|ScheduledVolume|CongestedPair|DegradedPair|ImportCSV' \
 	-benchmem -count "$count" -benchtime "$benchtime" . | tee "$out"

@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark-regression gate: compares a fresh scripts/bench.sh run against
 # the committed waterline in BENCH_PR9.json and fails the bench job when a
-# hot path regresses. BENCH_PR9.json carries all six serial waterlines
+# hot path regresses. The gate reads the six waterlines
 # (SimulateVenusPair, TraceDecodeASCII, ScheduledVolume, CongestedPair,
-# DegradedPair, ImportCSV) from BENCH_PR8.json verbatim — the parallel
-# event engine sits behind a Parallelism>1 gate and leaves the serial
-# loop untouched — and adds the Figure8Parallel legs: workers=1 pinned
-# to ScheduledVolume's exact waterline (same gate, same serial loop),
-# workers=2/4 with headroom for the engine's fixed setup allocations
-# (worker goroutines, window buffers), documented in the JSON notes.
+# DegradedPair, ImportCSV) that BENCH_PR9.json carries from
+# BENCH_PR8.json verbatim; the file's other entries are not read.
 #
 # A benchmark fails the gate when
 #   - its best (minimum) ns/op across the run's samples exceeds the
@@ -56,7 +52,7 @@ best() {
 }
 
 fail=0
-for name in SimulateVenusPair TraceDecodeASCII ScheduledVolume 'Figure8Parallel/workers=1' 'Figure8Parallel/workers=2' 'Figure8Parallel/workers=4' CongestedPair DegradedPair ImportCSV; do
+for name in SimulateVenusPair TraceDecodeASCII ScheduledVolume CongestedPair DegradedPair ImportCSV; do
 	want_ns=$(waterline "$name" ns_per_op)
 	want_allocs=$(waterline "$name" allocs_per_op)
 	if [[ -z "$want_ns" || -z "$want_allocs" ]]; then

@@ -273,11 +273,10 @@ type SimulateRequest struct {
 // set the response is NDJSON — one SweepCell line per cell, in cell
 // order, flushed as each completes — otherwise a single SweepResponse.
 type SweepRequest struct {
-	Trace   string     `json:"trace"`
-	Config  ConfigSpec `json:"config"`
-	Grid    GridSpec   `json:"grid"`
-	Workers int        `json:"workers,omitempty"` // unused; kept for forward compat
-	Stream  bool       `json:"stream,omitempty"`
+	Trace  string     `json:"trace"`
+	Config ConfigSpec `json:"config"`
+	Grid   GridSpec   `json:"grid"`
+	Stream bool       `json:"stream,omitempty"`
 }
 
 // SweepResponse is the non-streaming POST /sweep body. Cells hold each

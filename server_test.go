@@ -172,8 +172,14 @@ func TestServerSimulate(t *testing.T) {
 	if code, _ = req(info.Digest, iotrace.ConfigSpec{Scheduler: "bogus"}); code != http.StatusBadRequest {
 		t.Errorf("bad scheduler: %d, want 400", code)
 	}
-	if code, _ = post(t, ts.URL+"/simulate", "application/json", []byte(`{"nope":1}`)); code != http.StatusBadRequest {
-		t.Errorf("unknown field: %d, want 400", code)
+	for _, bad := range []struct{ path, body string }{
+		{"/simulate", `{"nope":1}`},
+		// "workers" is not a SweepRequest field.
+		{"/sweep", `{"trace":"` + info.Digest + `","workers":2}`},
+	} {
+		if code, _ = post(t, ts.URL+bad.path, "application/json", []byte(bad.body)); code != http.StatusBadRequest {
+			t.Errorf("unknown field %s %s: %d, want 400", bad.path, bad.body, code)
+		}
 	}
 
 	// Key hygiene on the results route.

@@ -84,12 +84,6 @@ func NewTraceSource(path string, opts ...SourceOption) *TraceSource {
 	return s
 }
 
-// NewTraceSourceFormat is the original positional constructor, kept as
-// a thin wrapper over NewTraceSource(path, WithFormat(format)).
-func NewTraceSourceFormat(path string, format Format) *TraceSource {
-	return NewTraceSource(path, WithFormat(format))
-}
-
 // Path returns the path the source decodes.
 func (s *TraceSource) Path() string { return s.path }
 

@@ -254,13 +254,6 @@ type Grid struct {
 	// SeedStep gives scenario i a seed offset of i*SeedStep. 0 (the
 	// default) replays identical traces in every scenario.
 	SeedStep uint64
-
-	// Parallelism sets every scenario's intra-run engine parallelism
-	// (the Parallelism ConfigOption). 0 leaves the base config's value.
-	// Scenarios stay byte-identical at any setting; prefer Sweep's
-	// cross-scenario workers when the grid is large and reserve this
-	// for small grids of big multi-volume runs.
-	Parallelism int
 }
 
 // axisMod is one value of one grid axis.
@@ -361,9 +354,6 @@ func (g Grid) Scenarios() []Scenario {
 										}
 										if g.SplitSpindles {
 											cfg.Volume = cfg.Volume.Split(cfg.NumVolumes)
-										}
-										if g.Parallelism > 0 {
-											cfg.Parallelism = g.Parallelism
 										}
 										name := strings.Join(parts, " ")
 										if name == "" {
