@@ -474,7 +474,7 @@ func BenchmarkSimulateVenusPair(b *testing.B) {
 // BenchmarkScheduledVolume drives the scheduler dispatch path end to
 // end: the ccm pair on a striped 4-volume array with SSTF queueing, so
 // every disk request goes through placement split, per-volume enqueue,
-// policy pick, and the diskReq join. Gated against the BENCH_PR5.json
+// policy pick, and the diskReq join. Gated against the BENCH_PR9.json
 // waterline by scripts/bench_check.sh.
 func BenchmarkScheduledVolume(b *testing.B) {
 	skipIfShort(b)
@@ -519,7 +519,7 @@ func BenchmarkScheduledVolume(b *testing.B) {
 // the ccm pair behind a congested 40 MB/s link under fair sharing, so
 // every cache<->volume transfer goes through enqueue, rate-sharing
 // epochs (the repost-heavy scheduler), and pooled-transfer completion.
-// Gated against the BENCH_PR6.json waterline by scripts/bench_check.sh.
+// Gated against the BENCH_PR9.json waterline by scripts/bench_check.sh.
 func BenchmarkCongestedPair(b *testing.B) {
 	skipIfShort(b)
 	spec, err := apps.Lookup("ccm")
@@ -562,7 +562,7 @@ func BenchmarkCongestedPair(b *testing.B) {
 // volume down mid-run and then degrades it to half speed, so requests
 // go through hold/retry (the pooled retry FIFO), frozen-service
 // banking, flusher recovery, and slow-factor recomputation.
-// Gated against the BENCH_PR7.json waterline by scripts/bench_check.sh.
+// Gated against the BENCH_PR9.json waterline by scripts/bench_check.sh.
 func BenchmarkDegradedPair(b *testing.B) {
 	skipIfShort(b)
 	spec, err := apps.Lookup("ccm")

@@ -15,17 +15,41 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"iotrace"
 	"iotrace/internal/cliflags"
 )
 
+// Connection limits for the HTTP server. A sweep response can take
+// minutes to compute, so there is no read or write timeout on the body;
+// these only bound a client that never finishes its headers or leaves
+// an idle keep-alive connection open.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "iosimd:", err)
+		os.Exit(1)
+	}
+}
+
+// run serves until SIGINT or SIGTERM, then stops accepting connections,
+// lets in-flight requests finish and closes the server, which removes a
+// temporary data directory. It returns nil after a signalled shutdown.
+func run() error {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks one)")
 		data    = flag.String("data", "", "data directory for traces and cached results (default: a temp dir)")
@@ -37,7 +61,7 @@ func main() {
 
 	// Validate the default import knobs up front, not on first upload.
 	if _, err := im.Options(); err != nil {
-		fatal(err)
+		return err
 	}
 	formatName := *im.Format
 	if formatName == "auto" {
@@ -51,21 +75,36 @@ func main() {
 		DefaultCSVMap: *im.CSVMap,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("iosimd: listening on http://%s\n", ln.Addr())
-	if err := http.Serve(ln, srv); err != nil {
-		fatal(err)
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "iosimd:", err)
-	os.Exit(1)
+	fmt.Printf("iosimd: listening on http://%s\n", ln.Addr())
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal kills the process without waiting
+	if err := hs.Shutdown(context.Background()); err != nil {
+		return err
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

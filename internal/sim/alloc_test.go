@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"iotrace/internal/trace"
@@ -16,20 +17,24 @@ func (s *Simulator) stepN(n int) {
 	}
 }
 
-// startAllocHarness primes a one-process simulator to the point where
-// RunContext would enter the event loop, without running to completion.
-func startAllocHarness(t *testing.T, cfg Config, recs []*trace.Record) *Simulator {
+// startAllocHarness primes a simulator with one process per trace to
+// the point where RunContext would enter the event loop, without
+// running to completion.
+func startAllocHarness(t *testing.T, cfg Config, traces ...[]*trace.Record) *Simulator {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddProcess("p", recs); err != nil {
-		t.Fatal(err)
+	for i, recs := range traces {
+		if err := s.AddProcess(fmt.Sprint("p", i), recs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := s.procs[0]
-	p.computeLeft = p.feed.cur.ProcessTime
-	s.ready = append(s.ready, p)
+	for _, p := range s.procs {
+		p.computeLeft = p.feed.cur.ProcessTime
+		s.ready = append(s.ready, p)
+	}
 	s.dispatch()
 	return s
 }

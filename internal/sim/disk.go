@@ -68,19 +68,6 @@ type volume struct {
 	inService bool
 	scanUp    bool
 
-	// Position-ordered pending index (pending.go): byPos mirrors queue
-	// sorted by (pos, aseq) so deep-queue SSTF/SCAN picks binary-search
-	// instead of scanning. It is built lazily the first time the queue
-	// depth crosses posIndexMinDepth (byPosOn), maintained incrementally
-	// while live, and dropped when the queue drains — shallow queues
-	// (the common case, and the benchmark-gated one) never pay for it.
-	// aseq is the per-volume arrival counter that breaks position ties
-	// toward the earliest arrival, exactly as the linear scan's
-	// first-encountered-wins does.
-	aseq    uint64
-	byPos   []posKey
-	byPosOn bool
-
 	// pend is the FCFS path's in-flight completion-time ring, kept only
 	// for queue-depth accounting (noteFCFSQueue).
 	pend     []trace.Ticks

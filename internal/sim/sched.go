@@ -139,8 +139,7 @@ type FlushStats struct {
 // at enqueue (file bases are assigned on first touch, in arrival
 // order), so policy decisions compare plain integers.
 type volPending struct {
-	pos   int64  // synthetic volume position of the segment's first byte
-	aseq  uint64 // per-volume arrival sequence (position-index tie-break)
+	pos   int64 // synthetic volume position of the segment's first byte
 	size  int64
 	enq   trace.Ticks // arrival time, for wait accounting
 	dr    *diskReq    // parent request join
@@ -249,13 +248,9 @@ func (s *Simulator) scheduleAccess(fileID uint32, off, size int64, write bool, t
 		if depth > v.maxQueueDepth {
 			v.maxQueueDepth = depth
 		}
-		v.aseq++
 		v.queue = append(v.queue, volPending{
-			pos: p, aseq: v.aseq, size: seg.size, enq: s.now, dr: dr, tag: tag, write: write,
+			pos: p, size: seg.size, enq: s.now, dr: dr, tag: tag, write: write,
 		})
-		if v.byPosOn {
-			v.insertByPos(p, v.aseq)
-		}
 		if !v.inService {
 			s.volDispatch(seg.vol)
 		}
@@ -263,20 +258,12 @@ func (s *Simulator) scheduleAccess(fileID uint32, off, size int64, write bool, t
 }
 
 // removeQueued removes index i from the arrival-ordered queue and
-// returns the segment, maintaining the position index while it is live
-// and retiring it when the queue drains.
+// returns the segment.
 func (v *volume) removeQueued(i int) volPending {
 	req := v.queue[i]
 	copy(v.queue[i:], v.queue[i+1:])
 	v.queue[len(v.queue)-1] = volPending{} // drop the dr pointer
 	v.queue = v.queue[:len(v.queue)-1]
-	if v.byPosOn {
-		if len(v.queue) == 0 {
-			v.dropPosIndex()
-		} else {
-			v.removeByPos(req.pos, req.aseq)
-		}
-	}
 	return req
 }
 
@@ -360,42 +347,15 @@ func (s *Simulator) volDone(vi int, gen uint32) {
 	s.volDispatch(vi)
 }
 
-// pickNext returns the queue index the policy services next. Shallow
-// queues scan linearly (pickNextLinear, the reference implementation);
-// once the depth crosses posIndexMinDepth, SSTF and SCAN switch to the
-// position-ordered index (pending.go), which finds the identical pick
-// by binary search — TestPickNextIndexedMatchesLinear fuzzes the two
-// against each other. Aged-SSTF always scans: its priorities move with
-// waiting time, so no static order can index them.
+// pickNext returns the queue index the policy services next, by a
+// linear scan of the arrival-ordered queue: first-encountered wins
+// break every tie toward the earliest arrival, deterministic across
+// runs by construction.
 func (v *volume) pickNext(pol Scheduler, now trace.Ticks) int {
-	if len(v.queue) == 1 {
-		// Match pickNextLinear's single-entry shortcut exactly: in
-		// particular the elevator must NOT flip direction here, even if
-		// the lone entry is behind the head — the flip the linear scan
-		// never performs would leak into later picks.
-		return 0
-	}
-	if pol == SchedSSTF || pol == SchedSCAN {
-		if !v.byPosOn && len(v.queue) >= posIndexMinDepth {
-			v.buildPosIndex()
-		}
-		if v.byPosOn {
-			if pol == SchedSSTF {
-				return v.sstfIndexed()
-			}
-			return v.scanIndexed()
-		}
-	}
-	return v.pickNextLinear(pol, now)
-}
-
-// pickNextLinear is the linear-scan pick over the arrival-ordered
-// queue: first-encountered wins break every tie toward the earliest
-// arrival — deterministic across runs by construction. It is the
-// oracle the indexed picks must match byte for byte.
-func (v *volume) pickNextLinear(pol Scheduler, now trace.Ticks) int {
 	q := v.queue
 	if len(q) == 1 {
+		// A lone entry is the pick; in particular the elevator must not
+		// flip direction here, even if the entry is behind the head.
 		return 0
 	}
 	switch pol {

@@ -358,33 +358,66 @@ func TestSchedulerAttributionSums(t *testing.T) {
 // loop with queueing on under each policy, on a striped 4-volume array:
 // the whole dispatch path — queue append, policy pick, diskReq join,
 // FCFS depth ring — must run allocation-free once pools reach their
-// high-water marks.
+// high-water marks. The deep cases run 40 processes at once, so the
+// linear pick is measured over queues 32 or more segments deep.
 func TestScheduledDispatchZeroAllocs(t *testing.T) {
+	cfgFor := func(pol Scheduler) Config {
+		cfg := allocConfig()
+		cfg.ReadAhead = false
+		cfg.CacheBytes = 1 << 20 // tiny: every wide-stride read misses
+		cfg.NumVolumes = 4
+		cfg.Placement = PlaceStripe
+		cfg.StripeUnitBytes = 64 << 10 // each 256 KB read spans all 4 volumes
+		cfg.DiskQueueing = true
+		cfg.Scheduler = pol
+		return cfg
+	}
+	stridedTrace := func(pid uint32, n int, writes bool) []*trace.Record {
+		items := make([]ioItem, n)
+		for i := range items {
+			items[i] = ioItem{file: pid, off: int64(i) << 21, ln: 1 << 18, write: writes && i%4 == 0}
+		}
+		return mkTrace(pid, items, 0.01)
+	}
+	measure := func(t *testing.T, s *Simulator, pol Scheduler) {
+		t.Helper()
+		missBefore := s.cache.stats.ReadMissReqs
+		allocs := testing.AllocsPerRun(50, func() { s.stepN(40) })
+		if misses := s.cache.stats.ReadMissReqs - missBefore; misses == 0 {
+			t.Fatal("harness drove no misses")
+		}
+		if allocs != 0 {
+			t.Errorf("%v dispatch path allocates %.1f allocs per 40 events, want 0", pol, allocs)
+		}
+	}
 	for _, pol := range []Scheduler{SchedFCFS, SchedSSTF, SchedSCAN, SchedAgedSSTF} {
 		t.Run(pol.String(), func(t *testing.T) {
-			cfg := allocConfig()
-			cfg.ReadAhead = false
-			cfg.CacheBytes = 1 << 20 // tiny: every wide-stride read misses
-			cfg.NumVolumes = 4
-			cfg.Placement = PlaceStripe
-			cfg.StripeUnitBytes = 64 << 10 // each 256 KB read spans all 4 volumes
-			cfg.DiskQueueing = true
-			cfg.Scheduler = pol
-			items := make([]ioItem, 4000)
-			for i := range items {
-				items[i] = ioItem{file: 1, off: int64(i) << 21, ln: 1 << 18, write: i%4 == 0}
-			}
-			s := startAllocHarness(t, cfg, mkTrace(1, items, 0.01))
-
+			s := startAllocHarness(t, cfgFor(pol), stridedTrace(1, 4000, true))
 			s.stepN(3000) // pools, queues, and the depth ring reach high water
-			missBefore := s.cache.stats.ReadMissReqs
-			allocs := testing.AllocsPerRun(50, func() { s.stepN(40) })
-			if misses := s.cache.stats.ReadMissReqs - missBefore; misses == 0 {
-				t.Fatal("harness drove no misses")
+			measure(t, s, pol)
+		})
+	}
+	const procs = 40
+	for _, pol := range []Scheduler{SchedSSTF, SchedSCAN, SchedAgedSSTF} {
+		t.Run("deep-"+pol.String(), func(t *testing.T) {
+			traces := make([][]*trace.Record, procs)
+			for i := range traces {
+				traces[i] = stridedTrace(uint32(i+1), 400, false)
 			}
-			if allocs != 0 {
-				t.Errorf("%v dispatch path allocates %.1f allocs per 40 events, want 0", pol, allocs)
+			cfg := cfgFor(pol)
+			// Room for all 40 in-flight reads; read-only traces keep
+			// every cached block clean, so eviction stays cheap.
+			cfg.CacheBytes = 32 << 20
+			s := startAllocHarness(t, cfg, traces...)
+			s.stepN(20000) // high water, with every process queued at the volumes
+			deepest := 0
+			for i := range s.disk.vols {
+				deepest = max(deepest, s.disk.vols[i].maxQueueDepth)
 			}
+			if deepest < 32 {
+				t.Fatalf("deepest volume queue %d, want >= 32 for a deep-queue pick", deepest)
+			}
+			measure(t, s, pol)
 		})
 	}
 }

@@ -8,7 +8,9 @@
 #   3. run a sweep, then run the identical sweep again;
 #   4. fail unless the replay is byte-identical to the first response
 #      AND executed zero new simulations (the /stats executed_cells
-#      counter must not move).
+#      counter must not move);
+#   5. stop the daemon with SIGTERM (it must exit 0), restart it over
+#      the same data directory, and require the cached sweep again.
 #
 # Needs only curl and standard tools — responses are picked apart with
 # sed, not jq.
@@ -83,7 +85,11 @@ if [ "$ran2" != "$ran1" ]; then
 fi
 
 echo "== restart (cache must survive)"
-kill "$server_pid"; wait "$server_pid" 2>/dev/null || true
+kill -TERM "$server_pid"
+status=0
+wait "$server_pid" || status=$?
+server_pid=""
+[ "$status" = 0 ] || { cat "$work/iosimd.log" >&2; echo "iosimd exited $status after SIGTERM, want 0" >&2; exit 1; }
 "$work/iosimd" -addr 127.0.0.1:0 -data "$work/data" >"$work/iosimd2.log" 2>&1 &
 server_pid=$!
 base=""
