@@ -228,3 +228,88 @@ func TestShardedMissPathZeroAllocs(t *testing.T) {
 		t.Errorf("sharded miss path allocates %.1f allocs per 40 events, want 0", allocs)
 	}
 }
+
+// TestEvictionPathZeroAllocs asserts that finding and evicting the least
+// recently used clean block allocates nothing in the two regimes where
+// it is hardest: write-behind with a flush delay, where most of a small
+// cache is dirty and every eviction must look past the dirty blocks, and
+// a per-process limit, where two processes each evict their own blocks.
+func TestEvictionPathZeroAllocs(t *testing.T) {
+	t.Run("delayed-write", func(t *testing.T) {
+		cfg := allocConfig()
+		cfg.ReadAhead = false
+		cfg.CacheBytes = 1 << 20 // 256 blocks
+		cfg.FlushDelayTicks = 30 * trace.TicksPerSecond
+		// Alternately a one-block write to every other block of file 1,
+		// so that each dirty block is flushed alone when it has aged,
+		// and a four-block read of a fresh region of file 2. Thirty
+		// seconds of writes keep about 200 of the 256 slots dirty; the
+		// reads evict clean blocks past them, and the flusher puts the
+		// dirty blocks the search took off back once they are clean.
+		items := make([]ioItem, 4000)
+		for i := range items {
+			if i%2 == 0 {
+				items[i] = ioItem{file: 1, off: int64(i) << 12, ln: 1 << 12, write: true, cpuBefore: 0.07}
+			} else {
+				items[i] = ioItem{file: 2, off: int64(i/2) << 14, ln: 1 << 14, cpuBefore: 0.07}
+			}
+		}
+		s := startAllocHarness(t, cfg, mkTrace(1, items, 0.01))
+
+		s.stepN(12000) // past the first flush delay: cache full, heap at high water
+		if d, capBlocks := s.cache.dirtyCount(), s.cache.capacity; 2*d <= capBlocks {
+			t.Fatalf("%d of %d slots dirty; want more than half", d, capBlocks)
+		}
+		missBefore, runsBefore := s.cache.stats.ReadMissReqs, s.flushRuns
+		allocs := testing.AllocsPerRun(50, func() { s.stepN(40) })
+		if s.cache.stats.ReadMissReqs == missBefore {
+			t.Fatal("harness drove no misses")
+		}
+		if s.flushRuns == runsBefore {
+			t.Fatal("harness flushed nothing; cleaned blocks never returned")
+		}
+		if d, capBlocks := s.cache.dirtyCount(), s.cache.capacity; 2*d <= capBlocks {
+			t.Fatalf("%d of %d slots dirty after the run; want more than half", d, capBlocks)
+		}
+		if allocs != 0 {
+			t.Errorf("delayed-write eviction path allocates %.1f allocs per 40 events, want 0", allocs)
+		}
+	})
+	t.Run("per-process-limit", func(t *testing.T) {
+		cfg := allocConfig()
+		cfg.ReadAhead = false
+		cfg.CacheBytes = 1 << 20 // 256 blocks
+		cfg.PerProcessBlockLimit = 64
+		// Two processes reading fresh regions: each fills its 64-block
+		// share and then evicts its own blocks, never the global LRU.
+		var traces [][]*trace.Record
+		for pid := uint32(1); pid <= 2; pid++ {
+			items := make([]ioItem, 4000)
+			for i := range items {
+				items[i] = ioItem{file: pid, off: int64(i) << 14, ln: 1 << 14, cpuBefore: 0.01}
+			}
+			traces = append(traces, mkTrace(pid, items, 0.01))
+		}
+		s := startAllocHarness(t, cfg, traces...)
+
+		s.stepN(3000) // both processes at their limit; pools at high water
+		for _, pid := range []uint32{1, 2} {
+			// Up to one four-block read may be in flight, reserved but
+			// not yet owned.
+			if n := s.cache.owned[s.cache.ownerIndex(pid)].n; n+4 < cfg.PerProcessBlockLimit {
+				t.Fatalf("pid %d owns %d blocks; want its limit %d", pid, n, cfg.PerProcessBlockLimit)
+			}
+		}
+		missBefore := s.cache.stats.ReadMissReqs
+		allocs := testing.AllocsPerRun(50, func() { s.stepN(40) })
+		if s.cache.stats.ReadMissReqs == missBefore {
+			t.Fatal("harness drove no misses")
+		}
+		if s.cache.nResident >= s.cache.capacity {
+			t.Fatal("cache filled; evictions were not all per-process")
+		}
+		if allocs != 0 {
+			t.Errorf("per-process eviction path allocates %.1f allocs per 40 events, want 0", allocs)
+		}
+	})
+}

@@ -6,10 +6,10 @@ type blockKey struct {
 	idx  int64
 }
 
-// Intrusive list plumbing: each block is simultaneously on the LRU list
-// and (when dirty) the dirty FIFO, so it carries one set of links per
-// list. Intrusive links replace container/list, which boxes every element
-// in an interface{}-valued list.Element allocation.
+// Intrusive list plumbing: a block sits on one of its clean set's lists
+// (see cleanSet) and, while dirty, on the dirty FIFO, so it carries one
+// set of links for each. Intrusive links replace container/list, which
+// boxes every element in an interface{}-valued list.Element allocation.
 const (
 	lruList   = 0
 	dirtyList = 1
@@ -19,17 +19,24 @@ type blockLink struct {
 	prev, next *block
 }
 
-// block is one resident cache block.
+// block is one resident cache block. The fields touch and the victim
+// search use fill the first 32 bytes; the struct is padded to 96 bytes,
+// and so a 64-block slab to 6 KB, a Go size class, so every block starts
+// 32-byte aligned and those fields share one cache line.
 type block struct {
-	key        blockKey
-	owner      uint32 // pid that brought the block in (0 = system)
+	stamp      uint64 // recency: the cache's clock at the last insert or touch
+	pos        int32  // place in its clean set: onLRU, i+1 for heap[i], or offSet
 	dirty      bool
-	pinned     bool  // being flushed; not evictable
-	prefetched bool  // brought in by read-ahead, not yet referenced
-	dirtyAt    int64 // tick the block became dirty (delayed-write aging)
+	pinned     bool         // being flushed; not evictable
+	prefetched bool         // brought in by read-ahead, not yet referenced
+	links      [2]blockLink // lruList and dirtyList membership
 
-	links    [2]blockLink // lruList and dirtyList membership
-	freeNext *block       // free-list chain for recycled blocks
+	key      blockKey
+	owner    uint32 // pid that brought the block in (0 = system)
+	ownerIdx int32  // owner's entry in cache.owned
+	dirtyAt  int64  // tick the block became dirty (delayed-write aging)
+	freeNext *block // free-list chain for recycled blocks
+	_        [8]byte
 }
 
 // blockList is an intrusive doubly-linked list over one of a block's link
@@ -69,12 +76,162 @@ func (l *blockList) remove(b *block) {
 	l.n--
 }
 
-func (l *blockList) moveToBack(b *block) {
-	if l.back == b {
+// cleanSet finds the least recently used clean block of a group (the
+// whole cache, or one owner's blocks) without walking past a dirty block
+// more than once. Recency is the block's stamp. Every clean block of the
+// group is in one of two places:
+//   - lru, kept in stamp order because a block joins it only at the back
+//     with a stamp newer than any there (insert, touch);
+//   - heap, a 4-ary min-heap by stamp.
+//
+// markDirty leaves a block where it is. The victim search takes the
+// dirty blocks it meets at the front of lru or the top of heap off the
+// set (pos offSet), so it passes each one once per time it is dirtied,
+// and markClean puts back only the blocks it took off: at lru's back if
+// no block there is newer, else on heap, with the stamp of their last
+// use. A block's place stays valid while it is dirty, since its stamp
+// changes only on touch, which moves a block in the set to lru's back.
+//
+// The victim is then the older of lru's first clean, unpinned block and
+// heap's top: the block a front-to-back walk of a list holding every
+// block in recency order would stop at. Where the flusher cleans blocks
+// before they age to the front of lru, as it does in most caches, heap
+// stays empty and the search looks at one block, as the walk did.
+type cleanSet struct {
+	lru  blockList
+	heap []heapEntry
+}
+
+// Places of a block (block.pos) other than i+1 for heap[i].
+const (
+	onLRU  = 0
+	offSet = -1
+)
+
+// pushBack adds b, which carries the newest stamp.
+func (s *cleanSet) pushBack(b *block) {
+	s.lru.pushBack(b)
+	b.pos = onLRU
+}
+
+// remove takes b off the set.
+func (s *cleanSet) remove(b *block) {
+	switch {
+	case b.pos == onLRU:
+		s.lru.remove(b)
+	case b.pos > 0:
+		s.heapRemove(b)
+	default:
 		return
 	}
-	l.remove(b)
-	l.pushBack(b)
+	b.pos = offSet
+}
+
+// cleaned puts back b, which markClean found off the set.
+func (s *cleanSet) cleaned(b *block) {
+	switch {
+	case s.lru.back == nil || s.lru.back.stamp < b.stamp:
+		s.pushBack(b)
+	default:
+		s.heap = append(s.heap, heapEntry{})
+		s.up(len(s.heap)-1, heapEntry{b.stamp, b})
+	}
+}
+
+// victim returns the least recently used clean, unpinned block, or nil.
+// The simulator pins only dirty blocks, so pinned clean blocks exist
+// only where a caller pins one directly; they are skipped, not taken off.
+func (s *cleanSet) victim() *block {
+	v := s.lru.front
+	for v != nil && (v.dirty || v.pinned) {
+		next := v.links[lruList].next
+		if v.dirty {
+			s.remove(v)
+		}
+		v = next
+	}
+	for len(s.heap) > 0 && (v == nil || s.heap[0].stamp < v.stamp) {
+		top := s.heap[0].b
+		if top.dirty {
+			s.remove(top)
+			continue
+		}
+		if !top.pinned {
+			return top
+		}
+		// A pinned top: find the oldest clean, unpinned entry.
+		for _, e := range s.heap {
+			if !e.b.dirty && !e.b.pinned && (v == nil || e.stamp < v.stamp) {
+				v = e.b
+			}
+		}
+		break
+	}
+	return v
+}
+
+// heapEntry is one heap slot. The stamp is copied in so that sifting
+// compares without loading the blocks.
+type heapEntry struct {
+	stamp uint64
+	b     *block
+}
+
+func (s *cleanSet) heapSet(i int, e heapEntry) {
+	s.heap[i] = e
+	e.b.pos = int32(i + 1)
+}
+
+// up places e at position i or above it.
+func (s *cleanSet) up(i int, e heapEntry) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if s.heap[p].stamp < e.stamp {
+			break
+		}
+		s.heapSet(i, s.heap[p])
+		i = p
+	}
+	s.heapSet(i, e)
+}
+
+// down places e at position i or below it.
+func (s *cleanSet) down(i int, e heapEntry) {
+	n := len(s.heap)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		c := first
+		for j := first + 1; j < first+4 && j < n; j++ {
+			if s.heap[j].stamp < s.heap[c].stamp {
+				c = j
+			}
+		}
+		if e.stamp < s.heap[c].stamp {
+			break
+		}
+		s.heapSet(i, s.heap[c])
+		i = c
+	}
+	s.heapSet(i, e)
+}
+
+func (s *cleanSet) heapRemove(b *block) {
+	i := int(b.pos) - 1
+	last := len(s.heap) - 1
+	tail := s.heap[last]
+	s.heap[last] = heapEntry{}
+	s.heap = s.heap[:last]
+	if i == last {
+		return
+	}
+	if i > 0 && tail.stamp < s.heap[(i-1)/4].stamp {
+		s.up(i, tail)
+	} else {
+		s.down(i, tail)
+	}
 }
 
 // fetch is an in-flight disk read filling cache blocks. Requests needing
@@ -179,10 +336,12 @@ func (fs *fileSlots) page(p int64) *slotPage {
 }
 
 // ownerCount is one entry of the compact per-process ownership table
-// (a handful of pids; linear scan, no hashing).
+// (a handful of pids; linear scan, no hashing). Entries are never
+// removed, so a block keeps its owner's index.
 type ownerCount struct {
-	pid uint32
-	n   int
+	pid   uint32
+	n     int
+	clean cleanSet // the owner's blocks, under a per-process limit
 }
 
 // cache is the block cache (or the system-managed SSD, in SSD tier).
@@ -197,12 +356,14 @@ type cache struct {
 	pageFree  *slotPage  // recycled (zeroed) pages
 
 	nResident int
-	lru       blockList // front = least recently used
+	clock     uint64    // last stamp handed out
+	clean     cleanSet  // every block, without a per-process limit
 	dirty     blockList // front = oldest dirty block
 	owned     []ownerCount
 	reserved  int // slots promised to in-flight fetches
 
 	free   *block   // recycled block structs
+	slab   []block  // unused tail of the newest block slab
 	runBuf []*block // reusable dirtyRunFrom result
 
 	// Per-volume dirty accounting, wired after the disk exists
@@ -222,7 +383,7 @@ func newCache(cfg *Config) *cache {
 		capacity:  cfg.CacheBlocks(),
 		limit:     cfg.PerProcessBlockLimit,
 		files:     make(map[uint32]*fileSlots),
-		lru:       blockList{which: lruList},
+		clean:     cleanSet{lru: blockList{which: lruList}},
 		dirty:     blockList{which: dirtyList},
 	}
 }
@@ -368,24 +529,39 @@ func (c *cache) clearPending(key blockKey) {
 	c.clearSlot(key, pg, sl)
 }
 
-// ownedBy returns the number of blocks pid brought in.
-func (c *cache) ownedBy(pid uint32) int {
+// ownerIndex returns pid's entry in the ownership table, adding it if
+// needed.
+func (c *cache) ownerIndex(pid uint32) int {
 	for i := range c.owned {
 		if c.owned[i].pid == pid {
-			return c.owned[i].n
+			return i
 		}
 	}
-	return 0
+	c.owned = append(c.owned, ownerCount{pid: pid, clean: cleanSet{lru: blockList{which: lruList}}})
+	return len(c.owned) - 1
 }
 
-func (c *cache) addOwned(pid uint32, d int) {
+// setOf returns the clean set holding b: the cache's, or under a
+// per-process limit its owner's, so that the limit's evictions find
+// the owner's least recently used block directly.
+func (c *cache) setOf(b *block) *cleanSet {
+	if c.limit == 0 {
+		return &c.clean
+	}
+	return &c.owned[b.ownerIdx].clean
+}
+
+// ownersVictim returns the least recently used clean, unpinned block of
+// the whole cache under a per-process limit: the oldest of the owners'
+// victims.
+func (c *cache) ownersVictim() *block {
+	var v *block
 	for i := range c.owned {
-		if c.owned[i].pid == pid {
-			c.owned[i].n += d
-			return
+		if b := c.owned[i].clean.victim(); b != nil && (v == nil || b.stamp < v.stamp) {
+			v = b
 		}
 	}
-	c.owned = append(c.owned, ownerCount{pid, d})
+	return v
 }
 
 // blockRangeInto appends the keys covering [off, off+length) of file to
@@ -411,13 +587,33 @@ func (c *cache) blockRange(file uint32, off, length int64) []blockKey {
 	return c.blockRangeInto(nil, file, off, length)
 }
 
-// touch moves a resident block to the MRU end and reports whether it was
-// an unreferenced prefetch.
+// touch makes a resident block the most recently used and reports
+// whether it was an unreferenced prefetch.
 func (c *cache) touch(b *block) (wasPrefetch bool) {
-	c.lru.moveToBack(b)
+	c.restamp(b)
 	wasPrefetch = b.prefetched
 	b.prefetched = false
 	return wasPrefetch
+}
+
+// restamp gives b the newest stamp and moves it to the back of its
+// clean set's lru; a dirty block off the set stays off until it is
+// clean again. It is touch's body, kept out of line so that touch
+// inlines into its callers.
+func (c *cache) restamp(b *block) {
+	c.clock++
+	b.stamp = c.clock
+	s := c.setOf(b)
+	switch {
+	case b.pos == onLRU:
+		if s.lru.back != b {
+			s.lru.remove(b)
+			s.lru.pushBack(b)
+		}
+	case b.pos > 0:
+		s.heapRemove(b)
+		s.pushBack(b)
+	}
 }
 
 // used returns occupied plus reserved slots.
@@ -437,30 +633,18 @@ func (c *cache) evict(b *block) {
 	if b.prefetched {
 		c.stats.WastedPrefetch++
 	}
-	c.lru.remove(b)
+	if s := c.setOf(b); b.pos == onLRU {
+		s.lru.remove(b) // the common case, without a call
+	} else {
+		s.remove(b)
+	}
 	pg, sl := c.slotAt(b.key)
 	sl.b = nil
 	c.clearSlot(b.key, pg, sl)
 	c.nResident--
-	c.addOwned(b.owner, -1)
+	c.owned[b.ownerIdx].n--
 	b.freeNext = c.free
 	c.free = b
-}
-
-// evictLRUClean evicts the least recently used clean unpinned block,
-// optionally restricted to one owner. It reports success.
-func (c *cache) evictLRUClean(owner uint32, restrict bool) bool {
-	for b := c.lru.front; b != nil; b = b.links[lruList].next {
-		if b.dirty || b.pinned {
-			continue
-		}
-		if restrict && b.owner != owner {
-			continue
-		}
-		c.evict(b)
-		return true
-	}
-	return false
 }
 
 // canEverFit reports whether a request for n slots by pid could ever be
@@ -486,16 +670,26 @@ func (c *cache) acquire(pid uint32, n int) bool {
 	// Per-process ownership cap (§6.2's counterproductive limit): evict
 	// the process's own clean blocks first.
 	if c.limit > 0 && pid != 0 {
-		for c.ownedBy(pid)+n > c.limit {
-			if !c.evictLRUClean(pid, true) {
+		o := &c.owned[c.ownerIndex(pid)]
+		for o.n+n > c.limit {
+			v := o.clean.victim()
+			if v == nil {
 				return false
 			}
+			c.evict(v)
 		}
 	}
 	for c.used()+n > c.capacity {
-		if !c.evictLRUClean(0, false) {
+		var v *block
+		if c.limit == 0 {
+			v = c.clean.victim()
+		} else {
+			v = c.ownersVictim()
+		}
+		if v == nil {
 			return false
 		}
+		c.evict(v)
 	}
 	c.reserved += n
 	return true
@@ -504,8 +698,8 @@ func (c *cache) acquire(pid uint32, n int) bool {
 // insert makes key resident (filling a reserved slot) or, if already
 // resident, just touches it. Newly inserted blocks land at the MRU end.
 // now stamps dirty blocks for delayed-write aging. Block structs come
-// from the free-list when available, so steady-state insert allocates
-// nothing.
+// from the free-list when available and are otherwise carved from
+// slabs, so steady-state insert allocates nothing.
 func (c *cache) insert(key blockKey, owner uint32, dirty, prefetched bool, now int64) *block {
 	pg, sl := c.ensure(key)
 	if b := sl.b; b != nil {
@@ -518,24 +712,42 @@ func (c *cache) insert(key blockKey, owner uint32, dirty, prefetched bool, now i
 		}
 		return b
 	}
-	b := c.free
-	if b != nil {
-		c.free = b.freeNext
-		*b = block{key: key, owner: owner, prefetched: prefetched}
-	} else {
-		b = &block{key: key, owner: owner, prefetched: prefetched}
-	}
-	c.lru.pushBack(b)
+	oi := c.ownerIndex(owner)
+	c.owned[oi].n++
+	c.clock++
+	// A recycled block was evicted clean and unpinned, and its other
+	// fields are written before they are read again (links and pos on
+	// joining a list, dirtyAt by markDirty), so it is not zeroed.
+	b := c.newBlock()
+	b.key, b.owner, b.ownerIdx, b.stamp = key, owner, int32(oi), c.clock
+	b.prefetched = prefetched
+	c.setOf(b).pushBack(b)
 	if sl.f == nil {
 		pg.used++
 	}
 	sl.b = b
 	c.nResident++
-	c.addOwned(owner, 1)
 	c.reserved--
 	if dirty {
 		c.markDirty(b, now)
 	}
+	return b
+}
+
+// blockSlabSize is the number of block structs allocated at once.
+const blockSlabSize = 64
+
+// newBlock returns a recycled block struct or the next one of a slab.
+func (c *cache) newBlock() *block {
+	if b := c.free; b != nil {
+		c.free = b.freeNext
+		return b
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]block, blockSlabSize)
+	}
+	b := &c.slab[0]
+	c.slab = c.slab[1:]
 	return b
 }
 
@@ -556,7 +768,8 @@ func (c *cache) homeVol(b *block) int {
 	return c.d.homeVolume(b.key.file, b.key.idx*c.blockSize)
 }
 
-// markDirty queues a block for the flusher.
+// markDirty queues a block for the flusher. The block stays where it is
+// in its clean set until a victim search passes it.
 func (c *cache) markDirty(b *block, now int64) {
 	if b.dirty {
 		return
@@ -579,6 +792,9 @@ func (c *cache) markClean(b *block) {
 	}
 	b.dirty = false
 	c.dirty.remove(b)
+	if b.pos == offSet {
+		c.setOf(b).cleaned(b)
+	}
 	if c.d != nil {
 		c.dirtyByVol[c.homeVol(b)]--
 	}
