@@ -10,8 +10,10 @@ package iotrace_test
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"testing"
 
@@ -474,8 +476,8 @@ func BenchmarkSimulateVenusPair(b *testing.B) {
 // BenchmarkScheduledVolume drives the scheduler dispatch path end to
 // end: the ccm pair on a striped 4-volume array with SSTF queueing, so
 // every disk request goes through placement split, per-volume enqueue,
-// policy pick, and the diskReq join. Gated against the BENCH_PR9.json
-// waterline by scripts/bench_check.sh.
+// policy pick, and the diskReq join. TestHotPathAllocCeilings caps its
+// allocs/op.
 func BenchmarkScheduledVolume(b *testing.B) {
 	skipIfShort(b)
 	spec, err := apps.Lookup("ccm")
@@ -519,7 +521,7 @@ func BenchmarkScheduledVolume(b *testing.B) {
 // the ccm pair behind a congested 40 MB/s link under fair sharing, so
 // every cache<->volume transfer goes through enqueue, rate-sharing
 // epochs (the repost-heavy scheduler), and pooled-transfer completion.
-// Gated against the BENCH_PR9.json waterline by scripts/bench_check.sh.
+// TestHotPathAllocCeilings caps its allocs/op.
 func BenchmarkCongestedPair(b *testing.B) {
 	skipIfShort(b)
 	spec, err := apps.Lookup("ccm")
@@ -562,7 +564,7 @@ func BenchmarkCongestedPair(b *testing.B) {
 // volume down mid-run and then degrades it to half speed, so requests
 // go through hold/retry (the pooled retry FIFO), frozen-service
 // banking, flusher recovery, and slow-factor recomputation.
-// Gated against the BENCH_PR9.json waterline by scripts/bench_check.sh.
+// TestHotPathAllocCeilings caps its allocs/op.
 func BenchmarkDegradedPair(b *testing.B) {
 	skipIfShort(b)
 	spec, err := apps.Lookup("ccm")
@@ -641,5 +643,57 @@ func skipIfShort(b *testing.B) {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("simulation benchmark: skipped in -short mode")
+	}
+}
+
+// TestHotPathAllocCeilings runs the hot-path benchmarks above and fails
+// when one allocates more per op than its ceiling: the simulator's event
+// loop under the default, scheduled, congested and degraded configs,
+// the ASCII trace decoder and the CSV importer. Every leg runs a fixed
+// ceilingOps ops rather than for a benchtime, so a stray allocation
+// outside the code under test is divided by the same count on a fast
+// or a slow runner. A count still moves up by a few allocations from
+// run to run, so each ceiling is the highest count seen over repeated
+// runs, and a leg over its ceiling is measured up to three times and
+// judged by its lowest count: an allocation the code makes shows in
+// every run. Time is not gated here: scripts/bench_ab.sh compares it
+// against the base commit on one machine.
+func TestHotPathAllocCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation benchmarks: skipped in -short mode")
+	}
+	const ceilingOps = "4x"
+	benchtime := flag.Lookup("test.benchtime").Value
+	prev := benchtime.String()
+	if err := benchtime.Set(ceilingOps); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { benchtime.Set(prev) })
+	for _, c := range []struct {
+		name    string
+		bench   func(*testing.B)
+		ceiling int64
+	}{
+		{"SimulateVenusPair", BenchmarkSimulateVenusPair, 515},
+		{"ScheduledVolume", BenchmarkScheduledVolume, 289},
+		{"CongestedPair", BenchmarkCongestedPair, 254},
+		{"DegradedPair", BenchmarkDegradedPair, 249},
+		{"TraceDecodeASCII", BenchmarkTraceDecodeASCII, 18},
+		{"ImportCSV", BenchmarkImportCSV, 71},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := int64(math.MaxInt64)
+			for try := 0; try < 3 && got > c.ceiling; try++ {
+				r := testing.Benchmark(c.bench)
+				if r.N == 0 {
+					t.Fatal("benchmark failed or did not run")
+				}
+				t.Logf("%d allocs/op over %d ops (ceiling %d)", r.AllocsPerOp(), r.N, c.ceiling)
+				got = min(got, r.AllocsPerOp())
+			}
+			if got > c.ceiling {
+				t.Errorf("%d allocs/op, over the ceiling of %d", got, c.ceiling)
+			}
+		})
 	}
 }

@@ -63,9 +63,6 @@ func TestComputeTotals(t *testing.T) {
 	if s.RWDataRatio() < 1.0 || s.RWDataRatio() > 1.01 {
 		t.Errorf("RWDataRatio = %v", s.RWDataRatio())
 	}
-	if s.RWCountRatio() != 1.5 {
-		t.Errorf("RWCountRatio = %v", s.RWCountRatio())
-	}
 	if s.AsyncFraction() != 0.2 {
 		t.Errorf("AsyncFraction = %v", s.AsyncFraction())
 	}

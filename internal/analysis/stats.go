@@ -246,11 +246,6 @@ func (s *Stats) RWDataRatio() float64 {
 	return stats.Ratio(float64(s.ReadBytes), float64(s.WriteBytes))
 }
 
-// RWCountRatio returns read requests over write requests.
-func (s *Stats) RWCountRatio() float64 {
-	return stats.Ratio(float64(s.ReadCount), float64(s.WriteCount))
-}
-
 // SeqFraction returns the fraction of requests sequential with the
 // previous request to the same file.
 func (s *Stats) SeqFraction() float64 {

@@ -8,8 +8,6 @@
 // collected here so every experiment draws on one machine description.
 package cray
 
-import "fmt"
-
 // Word and memory geometry. A Cray word is 8 bytes; memory sizes in the
 // paper are quoted in megawords (MW).
 const (
@@ -22,9 +20,6 @@ const (
 
 // MWToBytes converts a size in megawords to bytes.
 func MWToBytes(mw int) int64 { return int64(mw) * MWBytes }
-
-// BytesToMW converts bytes to (possibly fractional) megawords.
-func BytesToMW(b int64) float64 { return float64(b) / MWBytes }
 
 // CPU parameters of the Y-MP 8/832.
 const (
@@ -120,19 +115,3 @@ func (s SSD) CapacityBytes() int64 { return MWToBytes(s.CapacityMW) }
 // PerCPUShareBytes is one processor's share of the SSD, the sizing §6.3
 // uses ("each processor's share is 32 MW").
 func (s SSD) PerCPUShareBytes() int64 { return s.CapacityBytes() / NumCPUs }
-
-// Machine bundles the full model.
-type Machine struct {
-	Volume Volume
-	SSD    SSD
-}
-
-// Default returns the NAS Cray Y-MP 8/832 model.
-func Default() Machine {
-	return Machine{Volume: DefaultVolume(), SSD: DefaultSSD()}
-}
-
-func (m Machine) String() string {
-	return fmt.Sprintf("Cray Y-MP 8/832: %d CPUs @ %d ns, %d MW memory, volume %.1f MB/s (stripe %d), SSD %d MW",
-		NumCPUs, ClockNanos, MemoryMW, m.Volume.BandwidthBytesPerSec()/1e6, m.Volume.Stripe, m.SSD.CapacityMW)
-}

@@ -64,17 +64,6 @@ func (s *TimeSeries) Bins() []float64 { return s.bins }
 // Len returns the number of bins.
 func (s *TimeSeries) Len() int { return len(s.bins) }
 
-// Peak returns the maximum bin value, or 0 when empty.
-func (s *TimeSeries) Peak() float64 {
-	p := 0.0
-	for _, v := range s.bins {
-		if v > p {
-			p = v
-		}
-	}
-	return p
-}
-
 // Total returns the sum over all bins.
 func (s *TimeSeries) Total() float64 {
 	var t float64

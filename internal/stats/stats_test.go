@@ -9,79 +9,10 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Sum != 10 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if !almostEqual(s.Std, math.Sqrt(1.25), 1e-12) {
-		t.Errorf("Std = %v, want sqrt(1.25)", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Errorf("empty Summarize = %+v", z)
-	}
-	if s := Summarize([]float64{5}); s.Std != 0 || s.Min != 5 || s.Max != 5 {
-		t.Errorf("single-element Summarize = %+v", s)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	if s := Summarize([]float64{1, 2}).String(); !strings.Contains(s, "n=2") {
-		t.Errorf("String = %q", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {10, 1.4},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	if Percentile([]float64{7}, 99) != 7 {
-		t.Error("singleton percentile should be the element")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range percentile did not panic")
-		}
-	}()
-	Percentile(xs, 101)
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Percentile mutated its input: %v", xs)
-	}
-}
-
-func TestWeightedMeanAndRatio(t *testing.T) {
-	if got := WeightedMean([]float64{1, 3}, []float64{1, 1}); got != 2 {
-		t.Errorf("WeightedMean = %v", got)
-	}
-	if got := WeightedMean([]float64{10, 0}, []float64{1, 3}); got != 2.5 {
-		t.Errorf("WeightedMean = %v", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Error("empty WeightedMean should be 0")
-	}
+func TestRatio(t *testing.T) {
 	if Ratio(4, 2) != 2 || Ratio(1, 0) != 0 {
 		t.Error("Ratio conventions wrong")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched WeightedMean did not panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
 }
 
 func TestHistogram(t *testing.T) {
@@ -185,8 +116,8 @@ func TestTimeSeries(t *testing.T) {
 			t.Errorf("bin %d = %v, want %v", i, bins[i], want[i])
 		}
 	}
-	if s.Peak() != 7 || s.Total() != 15 || s.Len() != 4 {
-		t.Errorf("Peak/Total/Len = %v/%v/%v", s.Peak(), s.Total(), s.Len())
+	if s.Total() != 15 || s.Len() != 4 {
+		t.Errorf("Total/Len = %v/%v", s.Total(), s.Len())
 	}
 }
 

@@ -391,18 +391,3 @@ func EndTimes(t []*Record) (cpu, wall Ticks, ok bool) {
 	}
 	return cpu, wall, false
 }
-
-// FileNames scans a trace for file-name mapping comments and returns the
-// fileId-to-name table.
-func FileNames(t []*Record) map[uint32]string {
-	m := make(map[uint32]string)
-	for _, r := range t {
-		if !r.IsComment() {
-			continue
-		}
-		if id, name, ok := ParseFileNameComment(r.CommentText); ok {
-			m[id] = name
-		}
-	}
-	return m
-}

@@ -196,16 +196,6 @@ func TestFileNameComments(t *testing.T) {
 			t.Errorf("ParseFileNameComment(%q) accepted", s)
 		}
 	}
-	recs := []*Record{
-		{Type: Comment, CommentText: FileNameComment(1, "alpha")},
-		mkRec(1, 1, 1, 0, 512, 0, 0, false),
-		{Type: Comment, CommentText: FileNameComment(2, "beta")},
-		{Type: Comment, CommentText: "unrelated"},
-	}
-	names := FileNames(recs)
-	if len(names) != 2 || names[1] != "alpha" || names[2] != "beta" {
-		t.Errorf("FileNames = %v", names)
-	}
 }
 
 func TestParseFormat(t *testing.T) {

@@ -30,9 +30,6 @@ const (
 // Seconds converts t to floating-point seconds.
 func (t Ticks) Seconds() float64 { return float64(t) / float64(TicksPerSecond) }
 
-// Microseconds converts t to microseconds.
-func (t Ticks) Microseconds() int64 { return int64(t) * 10 }
-
 // TicksFromSeconds converts floating-point seconds to Ticks, rounding to
 // the nearest tick.
 func TicksFromSeconds(s float64) Ticks {

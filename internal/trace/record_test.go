@@ -29,9 +29,6 @@ func TestTicksConversions(t *testing.T) {
 	if got := TicksFromMicroseconds(105); got != 10 {
 		t.Errorf("TicksFromMicroseconds(105) = %v, want 10 (truncation)", got)
 	}
-	if got := Ticks(7).Microseconds(); got != 70 {
-		t.Errorf("Ticks(7).Microseconds() = %v, want 70", got)
-	}
 }
 
 func TestTicksRoundTripSeconds(t *testing.T) {
