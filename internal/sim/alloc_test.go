@@ -313,3 +313,41 @@ func TestEvictionPathZeroAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestQuantumSkipZeroAllocs asserts that skipping a single CPU over full
+// quanta, rotation of the ready queue included, allocates nothing.
+func TestQuantumSkipZeroAllocs(t *testing.T) {
+	cfg := allocConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := uint32(1); pid <= 5; pid++ {
+		tr := mkTrace(pid, []ioItem{{file: pid, ln: 4 << 10, cpuBefore: 1000}}, 0)
+		if err := s.AddProcess(fmt.Sprint("p", pid), tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range s.procs {
+		p.computeLeft = p.feed.cur.ProcessTime
+		s.ready = append(s.ready, p)
+	}
+	// A pending event 1000 steps out bounds every skip at 999 quanta,
+	// which is not a whole number of rounds of 5, so each skip also
+	// rotates the queue.
+	step := cfg.SwitchTicks + cfg.QuantumTicks
+	s.post(1000*step, event{kind: evNop})
+	const runs = 100
+	before := s.switches
+	allocs := testing.AllocsPerRun(runs, func() {
+		s.now = 0
+		s.skipQuanta()
+	})
+	// AllocsPerRun makes one warm-up call before the measured runs.
+	if got := s.switches - before; got != (runs+1)*999 {
+		t.Fatalf("skipped %d quanta over %d calls, want 999 each", got, runs+1)
+	}
+	if allocs != 0 {
+		t.Errorf("quantum skip allocates %.1f allocs per call, want 0", allocs)
+	}
+}

@@ -71,25 +71,34 @@ func evBefore(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// push and popInto sift a hole rather than swapping: each level copies
+// one event instead of three, and the moving event is written once, at
+// its final slot. Every (at, seq) is unique, so the pop order is the
+// one a swapping sift gives.
 func (h *eventHeap) push(e event) {
 	h.ev = append(h.ev, e)
 	i := len(h.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !evBefore(&h.ev[i], &h.ev[parent]) {
+		if !evBefore(&e, &h.ev[parent]) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		h.ev[i] = h.ev[parent]
 		i = parent
 	}
+	h.ev[i] = e
 }
 
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
+// popInto removes the earliest event into *top.
+func (h *eventHeap) popInto(top *event) {
+	*top = h.ev[0]
 	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
+	last := h.ev[n]
 	h.ev[n] = event{} // drop stale pointers so recycled objects can free
 	h.ev = h.ev[:n]
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
 		first := 4*i + 1
@@ -97,22 +106,28 @@ func (h *eventHeap) pop() event {
 			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
+		for c := first + 1; c < end; c++ {
 			if evBefore(&h.ev[c], &h.ev[min]) {
 				min = c
 			}
 		}
-		if !evBefore(&h.ev[min], &h.ev[i]) {
+		if !evBefore(&h.ev[min], &last) {
 			break
 		}
-		h.ev[i], h.ev[min] = h.ev[min], h.ev[i]
+		h.ev[i] = h.ev[min]
 		i = min
 	}
-	return top
+	h.ev[i] = last
+}
+
+func (h *eventHeap) pop() event {
+	var e event
+	h.popInto(&e)
+	return e
 }
 
 // post queues ev to fire dt ticks from now.
@@ -179,6 +194,7 @@ func (s *Simulator) dispatch1(e *event) {
 func (s *Simulator) runEvents(ctx context.Context) bool {
 	const ctxCheckInterval = 1 << 12
 	n := 0
+	var e event
 	for s.err == nil && s.events.len() > 0 {
 		if n++; n%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -186,7 +202,7 @@ func (s *Simulator) runEvents(ctx context.Context) bool {
 				return false
 			}
 		}
-		e := s.events.pop()
+		s.events.popInto(&e)
 		s.now = e.at
 		s.dispatch1(&e)
 	}

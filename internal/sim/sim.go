@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
+	"slices"
 	"sort"
 
 	"iotrace/internal/stats"
@@ -397,6 +399,11 @@ type Simulator struct {
 	maxFinish trace.Ticks
 	err       error // first mid-run failure (streaming source error, cancellation)
 
+	// perQuantum turns skipQuanta off, so every quantum posts its own
+	// events: the reference that tests hold the skip against. Only
+	// tests set it.
+	perQuantum bool
+
 	cache        *cache
 	front        *frontCache
 	disk         *disk
@@ -718,10 +725,66 @@ func (s *Simulator) sliceEnd(p *proc, slice trace.Ticks) {
 		// Quantum expired: back of the queue.
 		s.release(p)
 		s.ready = append(s.ready, p)
+		if len(s.cpus) == 1 && !s.perQuantum {
+			s.skipQuanta()
+		}
 		s.dispatch()
 		return
 	}
 	s.action(p)
+}
+
+// skipQuanta applies in closed form the next K full quanta of a single
+// CPU, which would otherwise post and pop 2K events. Between two heap
+// events, a quantum that expires with compute left only charges the
+// switch and the slice, credits the slice to the process, and rotates
+// the ready queue by one; the process that just expired is at its back.
+// K is the largest count for which
+//   - every skipped slice end falls strictly before the heap's head: at
+//     an equal tick the older event has the smaller seq and fires
+//     first, so that quantum must run as events;
+//   - no skipped quantum ends a process's burst, since that quantum
+//     goes to action.
+//
+// No heap event fires during the skip, and events posted after it still
+// take seqs above every pending one, so the order of the events that
+// remain, and the Result, are those of the per-quantum run.
+func (s *Simulator) skipQuanta() {
+	q := s.cfg.QuantumTicks
+	step := s.cfg.SwitchTicks + q
+	k := int64(math.MaxInt64) // an empty heap sets no bound
+	if s.events.len() > 0 {
+		k = int64((s.events.peek().at - s.now - 1) / step)
+	}
+	m := int64(len(s.ready))
+	for i, p := range s.ready {
+		if k <= int64(i) {
+			break // later processes run after step k anyway
+		}
+		// Process i runs at steps i, i+m, i+2m, ...; its first
+		// (c-1)/Q quanta leave compute, the next one ends its burst.
+		full := max(int64((p.computeLeft-1)/q), 0)
+		k = min(k, int64(i)+full*m)
+	}
+	if k <= 0 {
+		return
+	}
+	for i, p := range s.ready {
+		if int64(i) >= k {
+			break
+		}
+		d := trace.Ticks((k-int64(i)+m-1)/m) * q
+		p.computeLeft -= d
+		p.cpuUsed += d
+	}
+	adv := trace.Ticks(k) * step
+	s.now += adv
+	s.busy += adv
+	s.switches += k
+	r := int(k % m)
+	slices.Reverse(s.ready[:r])
+	slices.Reverse(s.ready[r:])
+	slices.Reverse(s.ready)
 }
 
 // action issues the process's next I/O, or retires the process.

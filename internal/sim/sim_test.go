@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"iotrace/internal/trace"
@@ -13,7 +15,8 @@ type ioItem struct {
 	off, ln   int64
 	write     bool
 	async     bool
-	cpuBefore float64 // seconds of compute preceding this I/O
+	cpuBefore float64     // seconds of compute preceding this I/O
+	cpuTicks  trace.Ticks // further compute, in ticks, for exact bursts
 }
 
 // mkTrace assembles a single-process trace from items plus trailing
@@ -22,7 +25,7 @@ func mkTrace(pid uint32, items []ioItem, tailCPU float64) []*trace.Record {
 	var recs []*trace.Record
 	cpu := trace.Ticks(0)
 	for i, it := range items {
-		cpu += trace.TicksFromSeconds(it.cpuBefore)
+		cpu += trace.TicksFromSeconds(it.cpuBefore) + it.cpuTicks
 		rt := trace.LogicalRecord
 		if it.write {
 			rt |= trace.WriteOp
@@ -449,4 +452,209 @@ func TestDemandRateRecorded(t *testing.T) {
 	if res.DiskReadRate.Total() <= 0 {
 		t.Error("no disk read traffic recorded")
 	}
+}
+
+// quantumRun is one run's outcome and the number of events it posted.
+type quantumRun struct {
+	res    *Result
+	err    error
+	events uint64
+}
+
+// runQuanta runs the traces with the single-CPU quantum skip or, with
+// perQuantum, one quantum at a time.
+func runQuanta(t testing.TB, cfg Config, traces [][]*trace.Record, perQuantum bool) quantumRun {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.perQuantum = perQuantum
+	for i, tr := range traces {
+		if err := s.AddProcess(fmt.Sprint("p", i), tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Run()
+	return quantumRun{res, err, s.seq}
+}
+
+// requireSameResult fails unless the skipping run reproduced the
+// per-quantum run exactly.
+func requireSameResult(t testing.TB, skip, ref quantumRun) {
+	t.Helper()
+	if fmt.Sprint(skip.err) != fmt.Sprint(ref.err) {
+		t.Fatalf("skip run error %v, per-quantum run error %v", skip.err, ref.err)
+	}
+	if reflect.DeepEqual(skip.res, ref.res) {
+		return
+	}
+	if skip.res == nil || ref.res == nil {
+		t.Fatalf("skip run result %v, per-quantum run result %v", skip.res, ref.res)
+	}
+	a, b := skip.res, ref.res
+	t.Fatalf("skip run differs from the per-quantum run:\n skip: wall %d busy %d switches %d procs %+v\n  ref: wall %d busy %d switches %d procs %+v",
+		a.WallTicks, a.BusyTicks, a.Switches, a.Procs, b.WallTicks, b.BusyTicks, b.Switches, b.Procs)
+}
+
+// burstTrace is a trace of n exact compute bursts, each ended by a 4 KB
+// request to the process's own file.
+func burstTrace(pid uint32, n int, burst trace.Ticks, write bool) []*trace.Record {
+	items := make([]ioItem, n)
+	for i := range items {
+		items[i] = ioItem{file: pid, off: int64(i) << 16, ln: 4 << 10, write: write, cpuTicks: burst}
+	}
+	return mkTrace(pid, items, 0)
+}
+
+// boundedBursts is three processes of 20 bursts of the given length and
+// one process of longer bursts of 40 quanta and a few ticks.
+func boundedBursts(burst trace.Ticks) [][]*trace.Record {
+	const q = 50
+	return [][]*trace.Record{
+		burstTrace(1, 20, burst, false), burstTrace(2, 20, burst, true), burstTrace(3, 20, burst, false),
+		burstTrace(4, 20, 40*q+7, true),
+	}
+}
+
+// TestQuantumSkipBoundaries holds the skip against the per-quantum path
+// where its two bounds bind: a slice end on the tick of a pending event,
+// and bursts that end exactly on, one past, or two quanta past a
+// quantum boundary.
+func TestQuantumSkipBoundaries(t *testing.T) {
+	const q = 50
+	withQ := func(quantum, sw trace.Ticks) Config {
+		cfg := DefaultConfig()
+		cfg.QuantumTicks = quantum
+		cfg.SwitchTicks = sw
+		cfg.WriteBehind = false
+		return cfg
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		traces [][]*trace.Record
+		skips  bool // the skip must post fewer events
+	}{
+		// With a 1-tick quantum and free switches a slice ends on every
+		// tick, so every disk completion lands on a slice end, which
+		// must fire after the completion posted before it.
+		{"completion on a slice end", withQ(1, 0), [][]*trace.Record{
+			burstTrace(1, 6, 300, false),
+			burstTrace(2, 2, 5000, true),
+			burstTrace(3, 3, 4000, false),
+		}, true},
+		// Three processes whose bursts leave Q, Q+1 or 2Q ticks beside
+		// one CPU-bound process, whose expiries call the skip while the
+		// others wait in the queue. A process with exactly Q left bounds
+		// K at its position; one with Q+1 or 2Q allows one more round.
+		{"bursts of Q", withQ(q, 3), boundedBursts(q), true},
+		{"bursts of Q+1", withQ(q, 3), boundedBursts(q + 1), true},
+		{"bursts of 2Q", withQ(q, 3), boundedBursts(2 * q), true},
+		// M = 1: a lone CPU-bound process with nothing pending skips to
+		// its last quantum in one step.
+		{"lone CPU-bound process", withQ(1000, 3), [][]*trace.Record{
+			mkTrace(1, []ioItem{{file: 1, ln: 4 << 10, cpuBefore: 30}}, 30),
+		}, true},
+		{"free switches", withQ(q, 0), [][]*trace.Record{
+			burstTrace(1, 10, 7*q+3, false), burstTrace(2, 10, 5*q, true),
+			burstTrace(3, 10, 3*q+1, false), burstTrace(4, 10, 11*q, true),
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			skip, ref := runQuanta(t, tc.cfg, tc.traces, false), runQuanta(t, tc.cfg, tc.traces, true)
+			if ref.err != nil {
+				t.Fatal(ref.err)
+			}
+			requireSameResult(t, skip, ref)
+			if tc.skips && skip.events >= ref.events {
+				t.Errorf("skip run posted %d events, per-quantum run %d: nothing skipped", skip.events, ref.events)
+			}
+			if !tc.skips && skip.events != ref.events {
+				t.Errorf("skip run posted %d events, per-quantum run %d: want no skip", skip.events, ref.events)
+			}
+		})
+	}
+}
+
+// FuzzQuantumSkipMatchesPerQuantum requires the single-CPU quantum skip
+// to give the Result of the per-quantum path, Physical records, rate
+// series and per-process results included. The input's first bytes pick
+// the process count (1-8), the quantum (1-50 ticks), the switch cost
+// (0-3 ticks) and a flag byte: CPUs (1, 2 or 4), write-behind, 4
+// volumes, the backbone, a fault plan, disk queueing and read-ahead.
+// A fault plan reads three more bytes. Each following group of four
+// bytes adds a compute burst (up to ~4000 ticks) and a 4-64 KB request
+// to one process.
+func FuzzQuantumSkipMatchesPerQuantum(f *testing.F) {
+	// Two processes at Q=1; five at Q=50 with free switches; a volume
+	// outage past the retry timeout, so processes restart; 2 and 4
+	// CPUs with the backbone and disk queueing; a lone process.
+	f.Add([]byte{2, 0, 3, 0, 1, 200, 3, 1, 2, 90, 10, 4})
+	f.Add([]byte{5, 49, 0, 0, 0, 255, 7, 9, 1, 128, 15, 2, 4, 60, 3, 6})
+	f.Add([]byte{3, 9, 2, 40, 0, 10, 200, 0, 250, 9, 1, 6, 100, 15, 3, 7, 2, 220, 3, 12, 1, 99, 7, 3})
+	f.Add([]byte{3, 9, 2, 40, 0, 10, 200, 0, 250, 9, 0, 6, 100, 15, 4, 7, 2, 220, 3, 12, 1, 99, 7, 2})
+	f.Add([]byte{3, 19, 1, 0x52, 9, 220, 14, 0, 8, 170, 12, 3, 2, 240, 6, 5})
+	f.Add([]byte{6, 7, 1, 0x57, 9, 220, 14, 0, 8, 170, 12, 3, 2, 240, 6, 5, 4, 33, 9, 3})
+	f.Add([]byte{0, 4, 1, 0, 255, 255, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			v := int(in[0])
+			in = in[1:]
+			return v
+		}
+		nProcs := 1 + next()%8
+		cfg := DefaultConfig()
+		cfg.RecordPhysical = true
+		cfg.RateBinTicks = trace.TicksPerSecond / 100
+		cfg.QuantumTicks = trace.Ticks(1 + next()%50)
+		cfg.SwitchTicks = trace.Ticks(next() % 4)
+		flags := next()
+		cfg.NumCPUs = []int{1, 1, 2, 4}[flags&3]
+		cfg.WriteBehind = flags&4 != 0
+		if flags&8 != 0 {
+			cfg.NumVolumes = 4
+			cfg.StripeUnitBytes = 16 << 10
+		}
+		if flags&16 != 0 {
+			cfg.BackboneMBps = 20
+			cfg.BackboneSched = BackboneSched(flags % 3)
+			cfg.BackbonePeriodTicks = 5000
+		}
+		if flags&32 != 0 {
+			// Outages shorter and longer than the retry timeout, so
+			// blocked processes restart mid-rotation.
+			ev := FaultEvent{
+				Kind: FaultKind(next() % 3), Vol: flags >> 6,
+				At: trace.Ticks(next()) * 64, Dur: trace.Ticks(1+next()) * 64, Factor: 3,
+			}
+			cfg.Faults = &FaultPlan{Events: []FaultEvent{ev}}
+			cfg.RetryTimeoutTicks = 2000
+			cfg.RetryBackoffTicks = 100
+		}
+		cfg.DiskQueueing = flags&64 != 0
+		cfg.ReadAhead = flags&128 != 0
+		items := make([][]ioItem, nProcs)
+		for p := range items {
+			items[p] = []ioItem{{file: uint32(p + 1), ln: 4 << 10}}
+		}
+		for n := 0; len(in) > 0 && n < 48; n++ {
+			p := next() % nProcs
+			burst := trace.Ticks(next()) * trace.Ticks(1+next()%16)
+			op := next()
+			items[p] = append(items[p], ioItem{
+				file: uint32(1 + op%3), off: int64(op>>2) << 14, ln: int64(1+op%16) << 12,
+				write: op&1 != 0, cpuTicks: burst,
+			})
+		}
+		traces := make([][]*trace.Record, nProcs)
+		for p := range traces {
+			traces[p] = mkTrace(uint32(p+1), items[p], 0.01)
+		}
+		requireSameResult(t, runQuanta(t, cfg, traces, false), runQuanta(t, cfg, traces, true))
+	})
 }
