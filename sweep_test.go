@@ -2,6 +2,8 @@ package iotrace_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -60,6 +62,76 @@ func TestGridScenarios(t *testing.T) {
 	}
 	if !strings.Contains(full[0].Name, "tier=main-memory") || !strings.Contains(full[0].Name, "wb=on") {
 		t.Errorf("name %q missing axes", full[0].Name)
+	}
+}
+
+// TestGridExpansionOrderPinned pins the full expansion of a grid with
+// two values on every axis (2^9 = 512 scenarios): the order in which
+// axes vary, the label each contributes, the config each cell ends up
+// with (SplitSpindles applied after the Volumes axis) and the seed
+// numbering. Any rewrite of Grid.Scenarios must reproduce it exactly.
+func TestGridExpansionOrderPinned(t *testing.T) {
+	plan, err := iotrace.ParseFaultPlan("vol0:down@2s+20s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := iotrace.Grid{
+		CacheMB:       []int64{4, 8},
+		BlockKB:       []int64{4, 8},
+		Tiers:         []iotrace.Tier{iotrace.MainMemory, iotrace.SSD},
+		ReadAhead:     []bool{true, false},
+		WriteBehind:   []bool{false, true},
+		Volumes:       []int{1, 2},
+		Schedulers:    []iotrace.SchedulerPolicy{iotrace.SchedFCFS, iotrace.SchedSSTF},
+		Backbones:     []float64{0, 12.5},
+		Faults:        []*iotrace.FaultPlan{nil, plan},
+		SplitSpindles: true,
+		SeedStep:      3,
+	}.Scenarios()
+	if len(scens) != 512 {
+		t.Fatalf("%d scenarios, want 512", len(scens))
+	}
+
+	names := make([]string, len(scens))
+	canon := sha256.New()
+	for i, sc := range scens {
+		names[i] = sc.Name
+		canon.Write([]byte(sc.Config.CanonicalString() + "\n"))
+	}
+	sum := sha256.Sum256([]byte(strings.Join(names, "\n")))
+	if got, want := hex.EncodeToString(sum[:]), "81f7981e64b4d051ac8ffe32c91c1e88bbf07e9ea9209f442c52cce67a7e0da3"; got != want {
+		t.Errorf("sha256 of scenario names = %s, want %s", got, want)
+	}
+	if got, want := hex.EncodeToString(canon.Sum(nil)), "619b0e48b2f333afe3718ba4c9b7e26ba5f1b8d6bf3ea53a525f4de372e6dec8"; got != want {
+		t.Errorf("sha256 of canonical configs = %s, want %s", got, want)
+	}
+
+	for _, c := range []struct {
+		i     int
+		name  string
+		canon string
+	}{
+		{0, "cache=4MB block=4KB tier=main-memory ra=on wb=off vols=1 sched=fcfs backbone=off faults=off",
+			"cfg1 cache=4194304 block=4096 ra=true wb=false tier=main-memory limit=0 warm=false cpus=1 quantum=1000 switch=3 fscall=10 intr=3 volume={Disk:{TransferBytesPerSec:9.6e+06 MinSeekMs:4 MaxSeekMs:25 HalfRotationMs:8.3 CapacityBytes:1258291200} Stripe:10} ssd={CapacityMW:256 BytesPerMicrosec:1024 SetupMicros:20} vols=1 place=stripe unit=1048576 queue=true sched=fcfs flushrun=256 flushdelay=0 phys=false front=0 ratebin=100000 bb=0 bsched=fifo bperiod=0 burst=0 drain=0 faults=off rtimeout=3000000 rbackoff=100"},
+		{37, "cache=8MB block=4KB tier=ssd ra=on wb=off vols=2 sched=fcfs backbone=off faults=off",
+			"cfg1 cache=8388608 block=4096 ra=true wb=false tier=ssd limit=0 warm=false cpus=1 quantum=1000 switch=3 fscall=10 intr=3 volume={Disk:{TransferBytesPerSec:9.6e+06 MinSeekMs:4 MaxSeekMs:25 HalfRotationMs:8.3 CapacityBytes:1258291200} Stripe:5} ssd={CapacityMW:256 BytesPerMicrosec:1024 SetupMicros:20} vols=2 place=stripe unit=1048576 queue=true sched=fcfs flushrun=256 flushdelay=0 phys=false front=0 ratebin=100000 bb=0 bsched=fifo bperiod=0 burst=0 drain=0 faults=off rtimeout=3000000 rbackoff=100"},
+		{208, "cache=4MB block=4KB tier=main-memory ra=on wb=on vols=1 sched=sstf backbone=12.5MBps faults=off",
+			"cfg1 cache=4194304 block=4096 ra=true wb=true tier=main-memory limit=0 warm=false cpus=1 quantum=1000 switch=3 fscall=10 intr=3 volume={Disk:{TransferBytesPerSec:9.6e+06 MinSeekMs:4 MaxSeekMs:25 HalfRotationMs:8.3 CapacityBytes:1258291200} Stripe:10} ssd={CapacityMW:256 BytesPerMicrosec:1024 SetupMicros:20} vols=1 place=stripe unit=1048576 queue=true sched=sstf flushrun=256 flushdelay=0 phys=false front=0 ratebin=100000 bb=12.5 bsched=fifo bperiod=0 burst=0 drain=0 faults=off rtimeout=3000000 rbackoff=100"},
+		{300, "cache=4MB block=4KB tier=ssd ra=off wb=off vols=2 sched=fcfs backbone=off faults=vol0:down@2s+20s",
+			"cfg1 cache=4194304 block=4096 ra=false wb=false tier=ssd limit=0 warm=false cpus=1 quantum=1000 switch=3 fscall=10 intr=3 volume={Disk:{TransferBytesPerSec:9.6e+06 MinSeekMs:4 MaxSeekMs:25 HalfRotationMs:8.3 CapacityBytes:1258291200} Stripe:5} ssd={CapacityMW:256 BytesPerMicrosec:1024 SetupMicros:20} vols=2 place=stripe unit=1048576 queue=true sched=fcfs flushrun=256 flushdelay=0 phys=false front=0 ratebin=100000 bb=0 bsched=fifo bperiod=0 burst=0 drain=0 faults=vol0:down@2s+20s rtimeout=3000000 rbackoff=100"},
+		{511, "cache=8MB block=8KB tier=ssd ra=off wb=on vols=2 sched=sstf backbone=12.5MBps faults=vol0:down@2s+20s",
+			"cfg1 cache=8388608 block=8192 ra=false wb=true tier=ssd limit=0 warm=false cpus=1 quantum=1000 switch=3 fscall=10 intr=3 volume={Disk:{TransferBytesPerSec:9.6e+06 MinSeekMs:4 MaxSeekMs:25 HalfRotationMs:8.3 CapacityBytes:1258291200} Stripe:5} ssd={CapacityMW:256 BytesPerMicrosec:1024 SetupMicros:20} vols=2 place=stripe unit=1048576 queue=true sched=sstf flushrun=256 flushdelay=0 phys=false front=0 ratebin=100000 bb=12.5 bsched=fifo bperiod=0 burst=0 drain=0 faults=vol0:down@2s+20s rtimeout=3000000 rbackoff=100"},
+	} {
+		sc := scens[c.i]
+		if sc.Name != c.name {
+			t.Errorf("scenario %d named %q, want %q", c.i, sc.Name, c.name)
+		}
+		if got := sc.Config.CanonicalString(); got != c.canon {
+			t.Errorf("scenario %d config\n got %s\nwant %s", c.i, got, c.canon)
+		}
+	}
+	if got, want := scens[511].SeedOffset, uint64(511*3); got != want {
+		t.Errorf("last seed offset %d, want %d", got, want)
 	}
 }
 
