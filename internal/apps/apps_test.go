@@ -34,7 +34,6 @@ func buildStats(t *testing.T, name string) *analysis.Stats {
 // CalibrationTolerance of the paper's published (reconciled) statistics.
 func TestCalibrationAgainstPaperTables(t *testing.T) {
 	for _, name := range Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			spec, err := Lookup(name)
 			if err != nil {

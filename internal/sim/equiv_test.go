@@ -550,7 +550,6 @@ func TestEventEngineEquivalence(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, tc := range equivCases() {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			tr, ok := traces[tc.app]
 			if !ok {

@@ -57,27 +57,14 @@ func (c *ResultCache) Get(key string) ([]byte, bool) {
 }
 
 // Put stores val under key in memory and, when disk-backed, durably on
-// disk (written via a temp file + rename so a crashed write never
-// leaves a torn entry for Get to serve).
+// disk (see writeFileAtomic: a crashed write never leaves a torn entry
+// for Get to serve).
 func (c *ResultCache) Put(key string, val []byte) error {
 	c.put(key, val)
 	if c.dir == "" {
 		return nil
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(val); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(c.dir, key))
+	return writeFileAtomic(c.dir, key, val)
 }
 
 func (c *ResultCache) put(key string, val []byte) {
@@ -99,4 +86,25 @@ func (c *ResultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.mem)
+}
+
+// writeFileAtomic writes data to dir/name through a temp file in dir
+// and a rename, so a crash mid-write leaves either the old file or the
+// new one, never a torn mix. Temp names ("put-*") never collide with
+// the stores' digest or key names, so readers skip leftovers.
+func writeFileAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, "put-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return os.Rename(tmp.Name(), filepath.Join(dir, name))
 }

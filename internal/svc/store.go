@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,7 +44,9 @@ func validDigest(d string) bool {
 
 // NewBlobStore opens (creating if needed) the store rooted at dir and
 // loads the metadata of every existing entry, so a restarted server
-// still knows its traces by name.
+// still knows its traces by name. A sidecar that does not parse leaves
+// its blob unregistered (Path and Meta refuse it) rather than blocking
+// start-up; re-uploading the same bytes registers it again.
 func NewBlobStore(dir string) (*BlobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -65,8 +66,8 @@ func NewBlobStore(dir string) (*BlobStore, error) {
 			return nil, err
 		}
 		var m map[string]string
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("svc: corrupt metadata %s: %w", e.Name(), err)
+		if json.Unmarshal(data, &m) != nil {
+			continue
 		}
 		s.meta[name] = m
 	}
@@ -83,7 +84,7 @@ func (s *BlobStore) Put(data []byte, meta map[string]string) (digest string, exi
 	defer s.mu.Unlock()
 	_, existed = s.meta[digest]
 	if !existed {
-		if err := os.WriteFile(filepath.Join(s.dir, digest), data, 0o644); err != nil {
+		if err := writeFileAtomic(s.dir, digest, data); err != nil {
 			return "", false, err
 		}
 	}
@@ -91,7 +92,7 @@ func (s *BlobStore) Put(data []byte, meta map[string]string) (digest string, exi
 	if err != nil {
 		return "", false, err
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, digest+".json"), mj, 0o644); err != nil {
+	if err := writeFileAtomic(s.dir, digest+".json", mj); err != nil {
 		return "", false, err
 	}
 	cp := make(map[string]string, len(meta))

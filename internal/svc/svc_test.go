@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -198,5 +199,64 @@ func TestBlobStoreContentAddressing(t *testing.T) {
 	}
 	if m, ok := s2.Meta(d1); !ok || m["name"] != "second" {
 		t.Fatalf("restart lost metadata: %v %v", m, ok)
+	}
+}
+
+// A sidecar torn by a crash mid-write must not keep the store from
+// opening: its blob stays unknown until re-uploaded, and every other
+// trace is still served.
+func TestBlobStoreSkipsCorruptSidecar(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, _, err := s.Put([]byte("good trace"), map[string]string{"name": "good"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tornData := []byte("torn trace")
+	torn, _, err := s.Put(tornData, map[string]string{"name": "torn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, torn+".json"), []byte(`{"name":"to`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatalf("store with one torn sidecar failed to open: %v", err)
+	}
+	if got := s2.List(); len(got) != 1 || got[0] != good {
+		t.Fatalf("reopened store lists %v, want [%s]", got, good)
+	}
+	if _, ok := s2.Path(torn); ok {
+		t.Error("Path resolved a blob whose sidecar is corrupt")
+	}
+	if _, ok := s2.Meta(torn); ok {
+		t.Error("Meta served a corrupt sidecar")
+	}
+	path, ok := s2.Path(good)
+	if !ok {
+		t.Fatal("intact trace no longer resolves")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "good trace" {
+		t.Fatalf("intact trace bytes = %q (%v)", got, err)
+	}
+	if m, ok := s2.Meta(good); !ok || m["name"] != "good" {
+		t.Errorf("intact trace metadata = %v %v", m, ok)
+	}
+
+	// Re-uploading the bytes registers the blob again.
+	if _, existed, err := s2.Put(tornData, map[string]string{"name": "again"}); err != nil || existed {
+		t.Fatalf("re-upload: existed=%v err=%v", existed, err)
+	}
+	s3, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := s3.Meta(torn); !ok || m["name"] != "again" {
+		t.Errorf("re-uploaded trace metadata = %v %v", m, ok)
 	}
 }

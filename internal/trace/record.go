@@ -224,19 +224,6 @@ type Record struct {
 // End returns the first byte offset past the access.
 func (r *Record) End() int64 { return r.Offset + r.Length }
 
-// RequestBytes returns the access size in bytes regardless of framing:
-// logical records carry Length in bytes, physical records in BlockSize
-// units. Comments and non-positive lengths contribute nothing.
-func (r *Record) RequestBytes() int64 {
-	if r.IsComment() || r.Length <= 0 {
-		return 0
-	}
-	if r.Type.IsLogical() {
-		return r.Length
-	}
-	return r.Length * BlockSize
-}
-
 // IsComment reports whether the record is a comment record.
 func (r *Record) IsComment() bool { return r.Type.IsComment() }
 

@@ -7,6 +7,9 @@
 # 2. The README quickstart code block must appear verbatim (modulo
 #    indentation) in example_test.go, so the snippet users copy is the
 #    one `go test` executes as Example_quickstart.
+# 3. Every Test*/Fuzz*/Benchmark*/Example* name cited in README.md,
+#    DESIGN.md and docs/*.md must be defined in some _test.go file; a
+#    trailing "*" (as in TestSplit*) cites every name with that prefix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +71,20 @@ check_fence 'iotrace\.Backbone\(' "congestion (Example_congestion)" || fail=1
 check_fence 'iotrace\.Faults\(' "faults (Example_faults)" || fail=1
 check_fence 'iotrace\.ImportFile\(' "importer (Example_import)" || fail=1
 
+# --- 3. cited test names exist -----------------------------------------
+defined=$(git grep --untracked -ohE '^func (Test|Fuzz|Benchmark|Example)[A-Za-z0-9_]*' -- '*_test.go' |
+    sed 's/^func //' | sort -u)
+while IFS=: read -r file line name; do
+    if [ "${name%\*}" != "$name" ]; then
+        grep -q "^${name%\*}" <<<"$defined" && continue
+    else
+        grep -qx "$name" <<<"$defined" && continue
+    fi
+    echo "$file:$line cites $name, which no _test.go defines" >&2
+    fail=1
+done < <(grep -onE '\b(Test|Fuzz|Benchmark|Example)[A-Z0-9_][A-Za-z0-9_]*\*?' README.md DESIGN.md docs/*.md)
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docs check: all markdown links resolve; README quickstart, scheduling, congestion, faults, and importer snippets match example_test.go"
+echo "docs check: all markdown links resolve; README quickstart, scheduling, congestion, faults, and importer snippets match example_test.go; every cited test name is defined"

@@ -41,7 +41,6 @@ type TraceSource struct {
 	data     []*Record // validated data records (what simulators replay)
 	pid      uint32
 	endCPU   Ticks
-	nbytes   int64  // data bytes requested (sweep-scheduler pressure)
 	digest   string // sha256 of the raw file bytes (content address)
 	err      error
 }
@@ -143,9 +142,6 @@ func (s *TraceSource) load() error {
 			return
 		}
 		s.recs, s.data, s.pid, s.endCPU, s.digest = recs, data, pid, endCPU, digest
-		for _, r := range data {
-			s.nbytes += r.RequestBytes()
-		}
 		s.decodes.Add(1)
 	})
 	return s.err
@@ -212,15 +208,4 @@ func (s *TraceSource) identity() (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("src/%s/%v/%+v", s.digest, s.resolved, s.opts), nil
-}
-
-// dataBytes returns the total bytes the data records request —
-// framing-aware, so physical (block-unit) and imported traces weigh
-// comparably — which is the sweep scheduler's cache-pressure
-// numerator. It triggers the one-time decode.
-func (s *TraceSource) dataBytes() (int64, error) {
-	if err := s.load(); err != nil {
-		return 0, err
-	}
-	return s.nbytes, nil
 }

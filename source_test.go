@@ -171,6 +171,53 @@ func TestSourceSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestSourceBehindStreamDecodesOnceInSweep covers a workload with no
+// fingerprint: the streamed process makes Fingerprint return before it
+// reaches the source, so no decode happens before the workers start and
+// the first scenarios race to trigger it. The source must still decode
+// exactly once, and the sweep must render the same at any pool width.
+func TestSourceBehindStreamDecodesOnceInSweep(t *testing.T) {
+	streamed, err := iotrace.AppRecords("upw", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sourced, err := iotrace.AppRecords("upw", 1) // its own pid
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "upw1.trace")
+	if _, err := iotrace.WriteTraceFile(path, iotrace.FormatASCII, iotrace.RecordSeq(sourced)); err != nil {
+		t.Fatal(err)
+	}
+	scens := iotrace.Grid{CacheMB: []int64{4, 16}, WriteBehind: []bool{true, false}}.Scenarios()
+
+	var renders []string
+	for _, workers := range []int{4, 1} {
+		src := iotrace.NewTraceSource(path, iotrace.WithFormat(iotrace.FormatASCII))
+		w, err := iotrace.New(
+			iotrace.TraceStream("stream", iotrace.RecordSeq(streamed)),
+			iotrace.Source("src", src),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := w.Sweep(context.Background(), scens, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[0].Key != "" {
+			t.Fatalf("workers=%d: stream-backed workload got key %q", workers, results[0].Key)
+		}
+		if got := src.Decodes(); got != 1 {
+			t.Errorf("workers=%d: source decoded %d times, want 1", workers, got)
+		}
+		renders = append(renders, sweepRender(t, results))
+	}
+	if renders[0] != renders[1] {
+		t.Errorf("workers=4 diverged from workers=1:\n--- 4 ---\n%s--- 1 ---\n%s", renders[0], renders[1])
+	}
+}
+
 func TestSourceErrorsSurfaceFromConsumers(t *testing.T) {
 	missing := iotrace.NewTraceSource(filepath.Join(t.TempDir(), "nope.trace"), iotrace.WithFormat(iotrace.FormatASCII))
 	w, err := iotrace.New(iotrace.Source("ghost", missing))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -51,11 +50,9 @@ func (r SweepResult) String() string {
 
 // Sweep executes every scenario against the workload on a bounded pool of
 // worker goroutines (workers <= 0 uses GOMAXPROCS). Scenarios start in
-// cost-aware order — highest estimated cache pressure first, so skewed
-// grids don't strand the pool behind a late-starting slow scenario — but
-// results land in scenario order, and every scenario's simulation is
-// single-threaded and deterministic, so the same workload and scenarios
-// produce identical results regardless of worker count or start order.
+// index order and results land in scenario order; every scenario's
+// simulation is single-threaded and deterministic, so the same workload
+// and scenarios produce identical results regardless of worker count.
 //
 // Per-scenario failures land in SweepResult.Err; the returned error is
 // non-nil only when ctx was cancelled, in which case unstarted scenarios
@@ -64,8 +61,10 @@ func (r SweepResult) String() string {
 // Streamed processes are re-ranged by each scenario, concurrently, so
 // their sequences must tolerate concurrent ranging (see TraceStream).
 // Source-backed processes (Source, TraceFile) are decoded exactly once —
-// before the first scenario starts — and every scenario replays the same
-// in-memory records.
+// by the trace fingerprint before any scenario starts, or, when a
+// streamed process leaves the workload without a fingerprint, by
+// whichever scenario reaches the source first — and every scenario
+// replays the same in-memory records.
 func (w *Workload) Sweep(ctx context.Context, scenarios []Scenario, workers int) ([]SweepResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -124,10 +123,9 @@ func (w *Workload) Sweep(ctx context.Context, scenarios []Scenario, workers int)
 	}
 	var cancelled error
 feed:
-	for _, i := range scheduleOrder(scenarios, w.traceBytes()) {
+	for i := range scenarios {
 		select {
 		case idx <- i:
-			// Execution order is cost-aware; out[i] keeps output order.
 		case <-ctx.Done():
 			cancelled = ctx.Err()
 			break feed
@@ -143,71 +141,6 @@ feed:
 		}
 	}
 	return out, cancelled
-}
-
-// traceBytes sums the request bytes of the workload's materialized and
-// source-backed processes — the numerator of the sweep scheduler's
-// cache-pressure proxy. Source-backed processes are counted from the
-// source's one decode (Sweep triggers it before any scenario starts, so
-// the pass is spent on work every scenario reuses, not on estimation);
-// a failing source contributes nothing here and surfaces its error from
-// the scenarios themselves. Purely streamed processes contribute nothing
-// (scanning them would cost a decode pass per estimate).
-func (w *Workload) traceBytes() int64 {
-	var total int64
-	for _, p := range w.Procs {
-		if p.src != nil {
-			if b, err := p.src.dataBytes(); err == nil {
-				total += b
-			}
-			continue
-		}
-		for _, r := range p.Records {
-			total += r.RequestBytes()
-		}
-	}
-	return total
-}
-
-// scheduleOrder returns the order in which scenario indices start
-// executing: most expensive first, so a skewed grid's long-running
-// scenarios (tiny caches, synchronous writes) don't start last and leave
-// the worker pool idling through a one-scenario tail. The estimate is
-// deliberately cheap — write-behind-off scenarios lead (every write pays
-// a disk round trip regardless of cache size), then descending backbone
-// congestion (trace bytes per backbone byte/s: a congested cell's
-// transfers queue behind each other, stretching its wall time far past
-// an uncongested twin's), then descending cache pressure (trace bytes
-// per cache byte). Ties keep grid order, so the schedule is
-// deterministic; per-scenario results and output order are unaffected
-// either way.
-func scheduleOrder(scenarios []Scenario, traceBytes int64) []int {
-	order := make([]int, len(scenarios))
-	pressure := make([]float64, len(scenarios))
-	congestion := make([]float64, len(scenarios))
-	for i := range scenarios {
-		order[i] = i
-		cache := scenarios[i].Config.CacheBytes
-		if cache <= 0 {
-			cache = 1
-		}
-		pressure[i] = float64(traceBytes) / float64(cache)
-		if mbps := scenarios[i].Config.BackboneMBps; mbps > 0 {
-			congestion[i] = float64(traceBytes) / (mbps * 1e6)
-		}
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := order[x], order[y]
-		wbA, wbB := scenarios[a].Config.WriteBehind, scenarios[b].Config.WriteBehind
-		if wbA != wbB {
-			return !wbA
-		}
-		if congestion[a] != congestion[b] {
-			return congestion[a] > congestion[b]
-		}
-		return pressure[a] > pressure[b]
-	})
-	return order
 }
 
 // Grid declares a cartesian sweep over the simulator's Figure 8 axes.
@@ -262,6 +195,15 @@ type axisMod struct {
 	apply func(*Config)
 }
 
+// axis lists one grid axis's values as labelled config edits.
+func axis[T any](vals []T, label func(T) string, apply func(*Config, T)) []axisMod {
+	mods := make([]axisMod, len(vals))
+	for i, v := range vals {
+		mods[i] = axisMod{label(v), func(c *Config) { apply(c, v) }}
+	}
+	return mods
+}
+
 // Scenarios expands the grid in a deterministic order: cache size varies
 // fastest, then block size, tier, read-ahead, write-behind, volume
 // count, scheduling policy, backbone bandwidth, and fault plan.
@@ -277,101 +219,68 @@ func (g Grid) Scenarios() []Scenario {
 		}
 		return "off"
 	}
-	// Each axis contributes its values, or a single no-op when unset.
-	pad := func(mods []axisMod) []axisMod {
-		if len(mods) == 0 {
-			return []axisMod{{}}
-		}
-		return mods
-	}
-	var caches, blocks, tiers, ras, wbs, vols, scheds, backbones, faults []axisMod
-	for _, mb := range g.CacheMB {
-		mb := mb
-		caches = append(caches, axisMod{fmt.Sprintf("cache=%dMB", mb), func(c *Config) { c.CacheBytes = mb << 20 }})
-	}
-	for _, kb := range g.BlockKB {
-		kb := kb
-		blocks = append(blocks, axisMod{fmt.Sprintf("block=%dKB", kb), func(c *Config) { c.BlockBytes = kb << 10 }})
-	}
-	for _, t := range g.Tiers {
-		t := t
-		tiers = append(tiers, axisMod{fmt.Sprintf("tier=%v", t), func(c *Config) { c.Tier = t }})
-	}
-	for _, v := range g.ReadAhead {
-		v := v
-		ras = append(ras, axisMod{"ra=" + onOff(v), func(c *Config) { c.ReadAhead = v }})
-	}
-	for _, v := range g.WriteBehind {
-		v := v
-		wbs = append(wbs, axisMod{"wb=" + onOff(v), func(c *Config) { c.WriteBehind = v }})
-	}
-	for _, n := range g.Volumes {
-		n := n
-		vols = append(vols, axisMod{fmt.Sprintf("vols=%d", n), func(c *Config) { c.NumVolumes = n }})
-	}
-	for _, p := range g.Schedulers {
-		p := p
-		scheds = append(scheds, axisMod{fmt.Sprintf("sched=%v", p), func(c *Config) {
-			c.DiskQueueing = true
-			c.Scheduler = p
-		}})
-	}
-	for _, mbps := range g.Backbones {
-		mbps := mbps
-		label := "backbone=off"
-		if mbps > 0 {
-			label = fmt.Sprintf("backbone=%gMBps", mbps)
-		}
-		backbones = append(backbones, axisMod{label, func(c *Config) { c.BackboneMBps = mbps }})
-	}
-	for _, plan := range g.Faults {
-		plan := plan
-		label := "faults=off"
-		if plan != nil && len(plan.Events) > 0 {
-			label = "faults=" + plan.String()
-		}
-		faults = append(faults, axisMod{label, func(c *Config) { c.Faults = plan }})
+	// In expansion order, fastest-varying first; the same order applies
+	// the edits and builds the names.
+	axes := [][]axisMod{
+		axis(g.CacheMB, func(mb int64) string { return fmt.Sprintf("cache=%dMB", mb) },
+			func(c *Config, mb int64) { c.CacheBytes = mb << 20 }),
+		axis(g.BlockKB, func(kb int64) string { return fmt.Sprintf("block=%dKB", kb) },
+			func(c *Config, kb int64) { c.BlockBytes = kb << 10 }),
+		axis(g.Tiers, func(t Tier) string { return fmt.Sprintf("tier=%v", t) },
+			func(c *Config, t Tier) { c.Tier = t }),
+		axis(g.ReadAhead, func(v bool) string { return "ra=" + onOff(v) },
+			func(c *Config, v bool) { c.ReadAhead = v }),
+		axis(g.WriteBehind, func(v bool) string { return "wb=" + onOff(v) },
+			func(c *Config, v bool) { c.WriteBehind = v }),
+		axis(g.Volumes, func(n int) string { return fmt.Sprintf("vols=%d", n) },
+			func(c *Config, n int) { c.NumVolumes = n }),
+		axis(g.Schedulers, func(p SchedulerPolicy) string { return fmt.Sprintf("sched=%v", p) },
+			func(c *Config, p SchedulerPolicy) {
+				c.DiskQueueing = true
+				c.Scheduler = p
+			}),
+		axis(g.Backbones, func(mbps float64) string {
+			if mbps > 0 {
+				return fmt.Sprintf("backbone=%gMBps", mbps)
+			}
+			return "backbone=off"
+		}, func(c *Config, mbps float64) { c.BackboneMBps = mbps }),
+		axis(g.Faults, func(plan *FaultPlan) string {
+			if plan != nil && len(plan.Events) > 0 {
+				return "faults=" + plan.String()
+			}
+			return "faults=off"
+		}, func(c *Config, plan *FaultPlan) { c.Faults = plan }),
 	}
 
-	var out []Scenario
-	for _, mf := range pad(faults) {
-		for _, mbb := range pad(backbones) {
-			for _, ms := range pad(scheds) {
-				for _, mv := range pad(vols) {
-					for _, mwb := range pad(wbs) {
-						for _, mra := range pad(ras) {
-							for _, mt := range pad(tiers) {
-								for _, mb := range pad(blocks) {
-									for _, mc := range pad(caches) {
-										cfg := base
-										var parts []string
-										for _, m := range []axisMod{mc, mb, mt, mra, mwb, mv, ms, mbb, mf} {
-											if m.apply == nil {
-												continue
-											}
-											m.apply(&cfg)
-											parts = append(parts, m.label)
-										}
-										if g.SplitSpindles {
-											cfg.Volume = cfg.Volume.Split(cfg.NumVolumes)
-										}
-										name := strings.Join(parts, " ")
-										if name == "" {
-											name = "base"
-										}
-										out = append(out, Scenario{
-											Name:       name,
-											Config:     cfg,
-											SeedOffset: uint64(len(out)) * g.SeedStep,
-										})
-									}
-								}
-							}
-						}
-					}
-				}
+	// Unset axes keep the base value and add no label.
+	n := 1
+	for _, mods := range axes {
+		n *= max(len(mods), 1)
+	}
+	out := make([]Scenario, n)
+	for i := range out {
+		cfg := base
+		var parts []string
+		// Scenario i's digits, least significant (cache) first.
+		rest := i
+		for _, mods := range axes {
+			if len(mods) == 0 {
+				continue
 			}
+			m := mods[rest%len(mods)]
+			rest /= len(mods)
+			m.apply(&cfg)
+			parts = append(parts, m.label)
 		}
+		if g.SplitSpindles {
+			cfg.Volume = cfg.Volume.Split(cfg.NumVolumes)
+		}
+		name := strings.Join(parts, " ")
+		if name == "" {
+			name = "base"
+		}
+		out[i] = Scenario{Name: name, Config: cfg, SeedOffset: uint64(i) * g.SeedStep}
 	}
 	return out
 }
